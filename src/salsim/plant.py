@@ -6,6 +6,7 @@ stationary Riccati solution; the remote estimator replays its own past
 inputs when a delivered sample is older than the current slot.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -22,16 +23,16 @@ class PlantParams:
     r: float = 1.0
 
     def validate(self):
-        if abs(self.a) > 1.3:
+        if not abs(self.a) <= 1.3:
             raise ValueError(f"|a| must not exceed 1.3, got {self.a}")
-        if self.b == 0.0:
-            raise ValueError("b must be non-zero")
-        if self.sigma_w2 <= 0.0:
-            raise ValueError("sigma_w2 must be positive")
-        if self.q <= 0.0:
-            raise ValueError("q must be positive")
-        if self.r <= 0.0:
-            raise ValueError("r must be positive")
+        if self.b == 0.0 or not math.isfinite(self.b):
+            raise ValueError(f"b must be finite and non-zero, got {self.b}")
+        if not (math.isfinite(self.sigma_w2) and self.sigma_w2 > 0.0):
+            raise ValueError(f"sigma_w2 must be finite and positive, got {self.sigma_w2}")
+        if not (math.isfinite(self.q) and self.q > 0.0):
+            raise ValueError(f"q must be finite and positive, got {self.q}")
+        if not (math.isfinite(self.r) and self.r > 0.0):
+            raise ValueError(f"r must be finite and positive, got {self.r}")
         return self
 
 
@@ -40,13 +41,17 @@ def solve_riccati(a, b, q, r, tol=1e-12, max_iter=10**6):
 
     Plain fixed-point iteration from P = q, stopped when successive
     iterates differ by at most `tol`. Returns (P, L) with the feedback
-    gain L = a b P / (r + b^2 P), so that u = -L x_hat.
+    gain L = a b P / (r + b^2 P), so that u = -L x_hat. Raises
+    RiccatiError when the iteration does not settle or overflows.
     """
     P = q
     a2 = a * a
     b2 = b * b
     for _ in range(max_iter):
-        nxt = q + a2 * P - (a * b * P) ** 2 / (r + b2 * P)
+        try:
+            nxt = q + a2 * P - (a * b * P) ** 2 / (r + b2 * P)
+        except OverflowError:
+            raise RiccatiError(f"iterate overflowed from P = {P!r}") from None
         if abs(nxt - P) <= tol:
             P = nxt
             return P, a * b * P / (r + b2 * P)

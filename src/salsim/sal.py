@@ -20,7 +20,6 @@ from .mdu import (
     PDU_HEADER_SIZE,
     SalPdu,
 )
-from .plant import aoi_cost
 
 
 class AlreadyRegistered(Exception):
@@ -60,7 +59,6 @@ class SessionHandler:
     def __init__(self):
         self._ids = {}
         self._labels = []
-        self._sources = []
         self._subs = []
         self._sub_tuples = []
 
@@ -68,7 +66,7 @@ class SessionHandler:
     def n_ids(self):
         return len(self._labels)
 
-    def register(self, label, source=None):
+    def register(self, label):
         if not label or len(label.encode("utf-8")) > 255:
             raise ValueError("label must encode to 1..255 bytes of UTF-8")
         if label in self._ids:
@@ -76,7 +74,6 @@ class SessionHandler:
         mdu_id = len(self._labels)
         self._ids[label] = mdu_id
         self._labels.append(label)
-        self._sources.append(source)
         self._subs.append({})
         self._sub_tuples.append(())
         return mdu_id
@@ -99,10 +96,6 @@ class SessionHandler:
     def label_of(self, mdu_id):
         self._check_id(mdu_id)
         return self._labels[mdu_id]
-
-    def source_of(self, mdu_id):
-        self._check_id(mdu_id)
-        return self._sources[mdu_id]
 
     def _check_id(self, mdu_id):
         if not 0 <= mdu_id < len(self._labels):
@@ -127,13 +120,11 @@ class DataHandler:
         gains=None,
         tis_enabled=False,
         compound_maxlen=8,
-        stale_drop_slots=None,
     ):
         n = session.n_ids
         self.session = session
         self.policy = policy
         self.tis_enabled = tis_enabled
-        self.stale_drop_slots = stale_drop_slots
         self._gen = [-1] * n
         self._payload = [None] * n
         self._plen = [0] * n
@@ -147,7 +138,6 @@ class DataHandler:
         self._rr_next = 0
         self.replaced_discards = 0
         self.overflow_drops = 0
-        self.stale_drops = 0
         if gains is not None:
             if len(gains) != n:
                 raise ValueError("need one (a, sigma_w2) pair per registered id")
@@ -291,14 +281,6 @@ class DataHandler:
 
     # ------------------------------------------------------- selection
 
-    def _apply_stale_drop(self, now):
-        limit = self.stale_drop_slots
-        for i in range(len(self._gen)):
-            if self._gen[i] >= 0 and now - self._gen[i] > limit:
-                self._gen[i] = -1
-                self._payload[i] = None
-                self.stale_drops += 1
-
     def _candidates(self, now):
         """Rank occupied buffers; id sits last in each tuple."""
         gen = self._gen
@@ -355,8 +337,6 @@ class DataHandler:
         lower id breaking ties. Entries that no longer fit the remaining
         space are skipped. Selected entries leave their buffers.
         """
-        if self.stale_drop_slots is not None:
-            self._apply_stale_drop(now)
         size = PDU_HEADER_SIZE
         picked = []
         plen = self._plen
@@ -378,8 +358,6 @@ class DataHandler:
         taking the top k of the ranking, so the block fill reduces to a
         partial sort. Returns exactly what select() would.
         """
-        if self.stale_drop_slots is not None:
-            self._apply_stale_drop(now)
         k = (capacity - PDU_HEADER_SIZE) // (PDU_ENTRY_OVERHEAD + entry_len)
         if k <= 0:
             return []

@@ -103,6 +103,14 @@ def test_bad_config_content_is_a_config_error(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 1
 
 
+@pytest.mark.parametrize("line", ["deadband = nan", "sigma_w2 = inf", "q = 1e300", "r = inf", "plant.a_min = nan"])
+def test_unusable_config_values_are_config_errors(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG + line + "\n", encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unwritable_output_is_an_io_error(cfg, tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "results.csv"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2

@@ -7,9 +7,15 @@ freshness recurrence, and determinism / stream-alignment properties.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import salsim
+import salsim.engine as engine
 from salsim.engine import ConfigError, SimConfig, run, summarize, sweep
 from salsim.plant import PlantParams, solve_riccati
 
@@ -176,6 +182,53 @@ def test_noise_stream_is_strategy_independent():
     assert len(set(costs.values())) == 1
 
 
+@pytest.mark.parametrize(
+    "tok,extra",
+    [("UA", {}), ("FA+TIS", {}), ("FC", {}), ("UA", dict(policy="FIFO"))],
+    ids=["UA", "FA+TIS", "FC", "UA/FIFO"],
+)
+def test_noise_row_blocks_leave_every_field_unchanged(monkeypatch, tok, extra):
+    # rows reach the slot loop in blocks of NOISE_ROWS; a block of one
+    # row, blocks that end mid-run and one block for the whole run
+    # must all feed the same noise to the same slots
+    c = cfg(n_loops=4, strategy=tok, deadband=0.4, loss_prob=0.25, horizon=61, warmup=5, seed=13, **extra)
+    results = []
+    for rows in (1, 7, c.horizon + 1, c.horizon + 50):
+        monkeypatch.setattr(engine, "NOISE_ROWS", rows)
+        results.append(run(c, record_traces=True))
+    assert results[0].delivery_log and results[0].aoi_trace
+    assert all(res == results[0] for res in results[1:])
+
+
+# peak resident growth of one N=20, 50k-slot run after a warm-up run,
+# in bytes per loop-slot
+MEMORY_PROBE = """
+import resource, sys
+from salsim.engine import SimConfig, run
+run(SimConfig(n_loops=20, horizon=2_000, warmup=100, strategy="UA"))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run(SimConfig(n_loops=20, horizon=50_000, warmup=1_000, strategy="UA"))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+unit = 1 if sys.platform == "darwin" else 1024
+print((after - before) * unit / (20 * 50_000))
+"""
+
+
+def test_run_peak_memory_per_loop_slot():
+    # the noise array (8 B) and the state and input histories (16 B)
+    # take about 24 B per loop-slot; holding every noise row as Python
+    # floats instead cost about 65 B
+    src = os.path.dirname(os.path.dirname(salsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 45.0
+
+
 # ------------------------------------------------------- conservation
 
 
@@ -269,6 +322,29 @@ def test_sweep_deterministic_and_parallel_equivalent():
 # ------------------------------------------------------------- config
 
 
+@pytest.mark.parametrize(
+    "start,stop,num",
+    [
+        (0.9, 1.2, 1),
+        (0.9, 1.2, 2),
+        (0.9, 1.2, 20),
+        (0.9, 1.2, 255),
+        (1.2, 0.9, 7),
+        (1.0, 1.0, 5),
+        (-0.0, 0.0, 1),
+        (-0.0, 0.0, 3),
+        (0.0, 5e-324, 9),
+        (-1.3, 1.3, 40),
+        (1, 1, 3),
+    ],
+)
+def test_plant_grid_matches_numpy_linspace_bit_for_bit(start, stop, num):
+    want = np.linspace(start, stop, num).tolist()
+    got = engine._linspace(start, stop, num)
+    assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+    assert got == want and all(type(x) is float for x in got)
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         run(cfg(n_loops=0))
@@ -292,6 +368,82 @@ def test_config_validation_errors():
         run(cfg(plants=[PlantParams(a=2.0)]))
     with pytest.raises(ConfigError):
         run(cfg(a_min=1.0, a_max=0.9))
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("deadband", NAN),
+        ("deadband", INF),
+        ("sigma_w2", NAN),
+        ("q", NAN),
+        ("r", INF),
+        ("a_min", NAN),
+        ("a_max", NAN),
+        ("slot_duration_ms", INF),
+        ("deadband", "0.5"),
+    ],
+)
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+        cfg(**{field: value}).validate()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("seed", 1.5),
+        ("horizon", True),
+        ("n_loops", 2.0),
+        ("warmup", False),
+        ("repetitions", 2.0),
+        ("tb_capacity", 64.0),
+        ("payload_size", "20"),
+        ("compound_maxlen", True),
+    ],
+)
+def test_config_integer_fields_reject_bools_and_floats(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        cfg(**{field: value}).validate()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(a=NAN),
+        dict(b=NAN),
+        dict(b=INF),
+        dict(sigma_w2=NAN),
+        dict(sigma_w2=INF),
+        dict(q=NAN),
+        dict(q=INF),
+        dict(r=NAN),
+        dict(r=INF),
+    ],
+)
+def test_supplied_plants_reject_non_finite_parameters(bad):
+    with pytest.raises(ConfigError):
+        run(cfg(plants=[PlantParams(**{"a": 1.0, **bad})]))
+
+
+@pytest.mark.parametrize("q", [1e8, 1e300])
+def test_riccati_failure_is_a_config_error(q):
+    # finite but extreme weights: the fixed-point iteration either
+    # never meets its absolute tolerance or overflows
+    with pytest.raises(ConfigError, match="no stationary LQR gain"):
+        run(cfg(q=q, a_min=1.2, a_max=1.2))
+
+
+def test_riccati_failure_in_a_lockstep_cell_is_a_config_error(monkeypatch):
+    monkeypatch.setattr(engine, "LOCKSTEP_ATOMIC_US", 0.0)
+    cell = [cfg(q=1e300, seed=s) for s in (1, 2)]
+    assert engine._takes_lockstep(cell)
+    with pytest.raises(ConfigError, match="no stationary LQR gain"):
+        engine.run_cell(cell)
 
 
 def test_compound_strategies_tolerate_small_blocks():
