@@ -40,11 +40,14 @@ def solve_riccati(a, b, q, r, tol=1e-12, max_iter=10**6):
     """Stationary solution of P = q + a^2 P - (a b P)^2 / (r + b^2 P).
 
     Plain fixed-point iteration from P = q, stopped when successive
-    iterates differ by at most `tol`. Returns (P, L) with the feedback
-    gain L = a b P / (r + b^2 P), so that u = -L x_hat. Raises
-    RiccatiError when the iteration does not settle or overflows.
+    iterates differ by at most `tol`, or when rounding traps them in a
+    cycle of two values a few ulps apart (large P, where `tol` is below
+    one ulp); the later iterate is then the solution. Returns (P, L)
+    with the feedback gain L = a b P / (r + b^2 P), so that u = -L x_hat.
+    Raises RiccatiError when the iteration does not settle or overflows.
     """
     P = q
+    before = math.nan  # the iterate before P
     a2 = a * a
     b2 = b * b
     for _ in range(max_iter):
@@ -52,9 +55,10 @@ def solve_riccati(a, b, q, r, tol=1e-12, max_iter=10**6):
             nxt = q + a2 * P - (a * b * P) ** 2 / (r + b2 * P)
         except OverflowError:
             raise RiccatiError(f"iterate overflowed from P = {P!r}") from None
-        if abs(nxt - P) <= tol:
+        if abs(nxt - P) <= tol or nxt == before:
             P = nxt
             return P, a * b * P / (r + b2 * P)
+        before = P
         P = nxt
     raise RiccatiError(f"no convergence within {max_iter} iterations")
 

@@ -355,73 +355,125 @@ class DataHandler:
         """select() specialized to a single shared payload length.
 
         With equal-size entries the skip-fill scan degenerates to
-        taking the top k of the ranking, so the block fill reduces to a
-        partial sort. Returns exactly what select() would.
+        taking the top k of the ranking. With no id pulled, one pass
+        over the ids finds them: AOI_COST and FIFO keep a running top-k
+        shortlist per tier over one key per id (falling staleness cost,
+        arrival order), and ROUND_ROBIN walks the ids cyclically from
+        its cursor until k admitted ids are found. Pulled ids fall back
+        to ranking every candidate. Returns exactly what select() would.
         """
         k = (capacity - PDU_HEADER_SIZE) // (PDU_ENTRY_OVERHEAD + entry_len)
         if k <= 0:
             return []
         gen = self._gen
+        if self._pulled:
+            candidates = self._candidates(now)
+            if len(candidates) > k:
+                candidates = nsmallest(k, candidates)
+            else:
+                candidates.sort()
+            order = [cand[-1] for cand in candidates]
+            picked = [self._take(i) for i in order]
+        else:
+            if self.policy is Policy.ROUND_ROBIN:
+                order = self._round_robin_order(k)
+            else:
+                order = self._top_k_order(k, now)
+            payload = self._payload
+            plen = self._plen
+            admitted = self._admitted
+            picked = [
+                Buffered(i, gen[i], payload[i], plen[i], admitted[i]) for i in order
+            ]
+            for i in order:
+                gen[i] = -1
+                payload[i] = None
+        if order and self.policy is Policy.ROUND_ROBIN:
+            self._rr_next = (order[-1] + 1) % len(gen)
+        return picked
+
+    def _top_k_order(self, k, now):
+        """Ids of the k best-ranked candidates, admitted tier first.
+
+        A running scan with one ordered shortlist per tier over one key
+        per id: the arrival sequence number under FIFO, the negated
+        staleness cost under AOI_COST. A candidate that cannot beat the
+        worst shortlisted key is rejected in one compare, and key ties
+        keep the earlier (lower) id by rejecting non-strict improvements.
+        """
+        gen = self._gen
         admitted = self._admitted
-        if self.policy is Policy.AOI_COST and not self._pulled:
-            # running top-k scan, one ordered shortlist per tier; a
-            # candidate that cannot beat the worst shortlisted cost is
-            # rejected in one compare, and cost ties keep the earlier
-            # (lower) id by rejecting non-strict improvements
+        tis = self.tis_enabled
+        if self.policy is Policy.FIFO:
+            seq = self._seq
+        else:
+            seq = None
             anchor = self._anchor
             tables = self._g_tables
-            a2s = self._a2
-            s2s = self._s2
-            tis = self.tis_enabled
-            adm_cost = []
-            adm_id = []
-            sup_cost = []
-            sup_id = []
-            adm_total = 0
-            for i in range(len(gen)):
-                if gen[i] < 0:
-                    continue
-                adm = admitted[i]
-                if adm:
-                    adm_total += 1
-                elif not tis:
-                    continue
+        adm_key = []
+        adm_id = []
+        sup_key = []
+        sup_id = []
+        adm_total = 0
+        for i in range(len(gen)):
+            if gen[i] < 0:
+                continue
+            if admitted[i]:
+                adm_total += 1
+                tier_key = adm_key
+                tier_id = adm_id
+            elif tis:
+                tier_key = sup_key
+                tier_id = sup_id
+            else:
+                continue
+            if seq is not None:
+                key = seq[i]
+            else:
                 delta = now - anchor[i]
                 table = tables[i]
                 if delta < len(table):
-                    cost = table[delta]
+                    key = -table[delta]
                 else:
-                    cost = table[-1]
-                    a2 = a2s[i]
-                    s2 = s2s[i]
-                    for _ in range(len(table), delta + 1):
-                        cost = a2 * cost + s2
-                        table.append(cost)
-                costs = adm_cost if adm else sup_cost
-                ids = adm_id if adm else sup_id
-                if len(costs) == k:
-                    if cost <= costs[-1]:
-                        continue
-                    costs.pop()
-                    ids.pop()
-                pos = 0
-                while pos < len(costs) and costs[pos] >= cost:
-                    pos += 1
-                costs.insert(pos, cost)
-                ids.insert(pos, i)
-            order = adm_id
-            if adm_total < k and sup_id:
-                order = adm_id + sup_id[: k - adm_total]
-            return [self._take(i) for i in order]
-        candidates = self._candidates(now)
-        if len(candidates) > k:
-            candidates = nsmallest(k, candidates)
-        else:
-            candidates.sort()
-        picked = [self._take(cand[-1]) for cand in candidates]
-        if picked and self.policy is Policy.ROUND_ROBIN:
-            self._rr_next = (picked[-1].mdu_id + 1) % len(gen)
-        return picked
+                    key = -self._staleness_cost(i, delta)
+            if len(tier_key) == k:
+                if key >= tier_key[-1]:
+                    continue
+                tier_key.pop()
+                tier_id.pop()
+            pos = 0
+            while pos < len(tier_key) and tier_key[pos] <= key:
+                pos += 1
+            tier_key.insert(pos, key)
+            tier_id.insert(pos, i)
+        if adm_total < k and sup_id:
+            return adm_id + sup_id[: k - adm_total]
+        return adm_id
+
+    def _round_robin_order(self, k):
+        """Ids of the first k admitted candidates from the cursor on.
+
+        The walk wraps around the ids once; under transmit-if-space the
+        first suppressed ids it met fill what is left of the block.
+        """
+        gen = self._gen
+        admitted = self._admitted
+        n = len(gen)
+        start = self._rr_next
+        fill = k if self.tis_enabled else 0
+        adm_id = []
+        sup_id = []
+        for j in range(start, start + n):
+            i = j - n if j >= n else j
+            if gen[i] < 0:
+                continue
+            if admitted[i]:
+                adm_id.append(i)
+                if len(adm_id) == k:
+                    return adm_id
+            elif len(sup_id) < fill:
+                sup_id.append(i)
+        return adm_id + sup_id[: k - len(adm_id)]
 
 
 def compose_pdu(entries, capacity):

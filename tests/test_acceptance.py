@@ -57,6 +57,7 @@ def test_scripted_erasure_pattern_reproduces_age_sawtooth():
     assert result.aoi_trace[0] == [1, 0, 1, 2, 0]
 
 
+@pytest.mark.slow
 def test_exhaustive_eight_slot_instance_matches_monte_carlo():
     # all 2^8 erasure patterns, weighted by their Bernoulli probability,
     # give the exact expected mean age; 1e5 seeded runs must agree to
@@ -211,6 +212,7 @@ def tis_grid():
     return sweep(base, [5, 10, 15, 20], ["FA"])
 
 
+@pytest.mark.slow
 def test_default_grid_orders_the_strategies(default_grid):
     results, _ = default_grid
     assert len(results) == 4 * 4 * 20
@@ -223,11 +225,13 @@ def test_default_grid_orders_the_strategies(default_grid):
     assert summary[(20, "UC")].lqg_mean >= 1.5 * summary[(20, "FC")].lqg_mean
 
 
+@pytest.mark.slow
 def test_default_grid_runs_inside_the_wall_clock_budget(default_grid):
     _, elapsed = default_grid
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_transmit_if_space_never_hurts(default_grid, tis_grid):
     results, _ = default_grid
     fa = {s.n_loops: s for s in summarize(results) if s.strategy == "FA"}

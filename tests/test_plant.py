@@ -71,6 +71,44 @@ def test_riccati_iteration_cap():
         solve_riccati(1.0, 1.0, 1.0, 1.0, max_iter=3)
 
 
+def _absolute_tolerance_iteration(a, b, q, r, tol=1e-12, max_iter=20_000):
+    # the solver without its two-cycle stop; None where it never settles
+    P = q
+    for _ in range(max_iter):
+        nxt = q + a * a * P - (a * b * P) ** 2 / (r + b * b * P)
+        if abs(nxt - P) <= tol:
+            return nxt, a * b * nxt / (r + b * b * nxt)
+        P = nxt
+    return None
+
+
+def test_riccati_unchanged_where_the_absolute_tolerance_settles():
+    settled = 0
+    for a in [-1.3, -1.2, -1.0, -0.7, 0.0, 0.3, 0.9, 1.0, 1.05, 1.1, 1.2, 1.25, 1.3]:
+        for b in [-2.0, -0.5, 0.3, 1.0, 3.0]:
+            for q in [1e-3, 0.5, 1.0, 10.0, 1e3, 1e5]:
+                for r in [1e-3, 0.2, 1.0, 50.0, 1e4]:
+                    expected = _absolute_tolerance_iteration(a, b, q, r)
+                    if expected is None:
+                        continue
+                    settled += 1
+                    assert solve_riccati(a, b, q, r) == expected, (a, b, q, r)
+    assert settled > 1800
+
+
+@pytest.mark.parametrize("q", [1e6, 1e8, 1e12])
+def test_riccati_stops_on_a_rounding_two_cycle(q):
+    # one ulp of P exceeds the absolute tolerance here, and the iterates
+    # alternate between two values a few ulps apart
+    assert _absolute_tolerance_iteration(1.2, 1.0, q, 1.0) is None
+    P, L = solve_riccati(1.2, 1.0, q, 1.0)
+    after = q + 1.44 * P - (1.2 * P) ** 2 / (1.0 + P)
+    assert abs(after - P) <= 4 * math.ulp(P)
+    assert L == 1.2 * P / (1.0 + P)
+    ref = solve_discrete_are([[1.2]], [[1.0]], [[q]], [[1.0]])[0][0]
+    assert abs(P - ref) <= 1e-8 * ref
+
+
 def test_plant_step_arithmetic():
     assert plant_step(2.0, 1.0, 0.5, 1.1, 2.0) == pytest.approx(1.1 * 2.0 + 2.0 * 1.0 + 0.5)
     assert plant_step(0.0, 0.0, 0.0, 1.2, 1.0) == 0.0

@@ -344,31 +344,76 @@ def test_flagged_ingest_matches_filtered_calls():
 
 
 def test_select_uniform_matches_select():
+    # up to 24 ids and 6 entries per block; stale-generation ingests,
+    # pulls and lost acks; enough slots for the round-robin cursor to wrap
     rng = random.Random(2026)
     policies = [Policy.AOI_COST, Policy.FIFO, Policy.ROUND_ROBIN]
-    for trial in range(200):
-        n = rng.randrange(1, 7)
+    wraps = stale = 0
+    for trial in range(600):
+        n = rng.randrange(1, 25)
         policy = policies[trial % 3]
         tis = rng.random() < 0.5
         one, two = _handler_pair(n, policy=policy, tis=tis)
-        for slot in range(rng.randrange(2, 16)):
+        for slot in range(rng.randrange(2, 25)):
             for i in range(n):
                 if rng.random() < 0.7:
+                    gen = slot
+                    if slot and rng.random() < 0.2:
+                        gen = rng.randrange(max(0, slot - 3), slot)
+                        stale += policy is Policy.FIFO
                     admitted = rng.random() < 0.7
                     for dh in (one, two):
-                        dh.ingest(i, slot, bytes(20), admitted=admitted)
-            if rng.random() < 0.15:
+                        dh.ingest(i, gen, bytes(20), admitted=admitted)
+            for _ in range(rng.choice([0, 0, 0, 0, 0, 1, 2])):
                 target = rng.randrange(n)
                 one.handle_pull(PullRequest(target))
                 two.handle_pull(PullRequest(target))
-            capacity = rng.choice([8, 29, 30, 58, 64, 92])
+            k = rng.randrange(0, 7)
+            capacity = rng.choice([8, 29, 2 + 28 * k, 2 + 28 * k + rng.randrange(1, 28)])
+            cursor = two._rr_next
             picked_one = one.select(capacity, slot)
             picked_two = two.select_uniform(capacity, slot, 20)
             assert picked_one == picked_two, (trial, slot, policy, tis, capacity)
-            for entry in picked_one:
-                ack = AckMessage(entry.mdu_id, entry.gen_time)
-                one.handle_ack(ack)
-                two.handle_ack(ack)
+            wraps += two._rr_next < cursor
+            if rng.random() < 0.8:
+                for entry in picked_one:
+                    ack = AckMessage(entry.mdu_id, entry.gen_time)
+                    one.handle_ack(ack)
+                    two.handle_ack(ack)
+    assert wraps > 50 and stale > 500
+
+
+def test_round_robin_selection_wraps_past_the_last_id():
+    for select in (DataHandler.select, lambda dh, cap, now: dh.select_uniform(cap, now, 20)):
+        dh = DataHandler(make_session(5), policy=Policy.ROUND_ROBIN)
+        rounds = []
+        for slot in range(3):
+            for i in range(5):
+                dh.ingest(i, slot, bytes(20))
+            rounds.append([e.mdu_id for e in select(dh, 64, slot)])
+        assert rounds == [[0, 1], [2, 3], [4, 0]]
+
+
+@pytest.mark.parametrize("tis", [False, True])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_select_uniform_ranks_without_candidate_tuples_unless_pulled(monkeypatch, policy, tis):
+    def refuse(self, now):
+        raise AssertionError("ranked candidate tuples")
+
+    monkeypatch.setattr(DataHandler, "_candidates", refuse)
+    dh = DataHandler(make_session(9), policy=policy, gains=unit_gains(9), tis_enabled=tis)
+    rng = random.Random(5)
+    picked = 0
+    for slot in range(40):
+        for i in range(9):
+            if rng.random() < 0.6:
+                dh.ingest(i, slot, bytes(20), admitted=rng.random() < 0.6)
+        picked += len(dh.select_uniform(92, slot, 20))
+    assert picked > 40
+    dh.ingest(0, 40, bytes(20))
+    dh.handle_pull(PullRequest(0))
+    with pytest.raises(AssertionError, match="candidate tuples"):
+        dh.select_uniform(92, 40, 20)
 
 
 def test_select_uniform_zero_fit_leaves_state_alone():
