@@ -15,19 +15,24 @@ state of slot t.
 The slot loop is written for throughput: the controller update of slot
 t and the plant step of slot t+1 share one pass over the loops, ingest
 and selection go through the aggregation layer's batch entry points,
-freshness age totals are integrated from delivery events instead of
-per-slot counters, and stage costs come from a vectorized end pass over
-the recorded state and input trajectories, which are preallocated for
-the whole horizon. Deadband semantics follow DeadbandFilter (first
+and freshness age totals are integrated from delivery events instead of
+per-slot counters. Deadband semantics follow DeadbandFilter (first
 sample always admits, strict threshold, reference moves only on
 admission); the filter is inlined here and pinned to the reference
 implementation by the filtered-vs-unfiltered equivalence tests.
 
-A run's memory grows by about 24 bytes per loop-slot: the (horizon + 1)
-x n plant noise stays one float64 array and becomes Python floats
-NOISE_ROWS rows at a time, next to one double per slot of each loop's
-state and input history. A 50,000-slot run at N=20 raised peak resident
-memory by 27 B per loop-slot on Linux (Python 3.11, numpy 2.4).
+A run holds the same memory whatever its horizon. Slots go by in blocks
+of NOISE_ROWS: each block draws its plant noise and link uniforms, turns
+them into Python floats, and at its end folds its states and inputs into
+the stage-cost sums (lockstep.PairwiseFold, bit for bit numpy's sum over
+the whole window). Each loop's input history reaches back only to the
+oldest sample that a buffer, the compound queue or the packet on the
+wire still holds for it, since replaying a delivered sample needs the
+inputs applied since it was taken. A 50,000-slot run at N=20 raised peak
+resident memory by at most 0.1 B per extra loop-slot over a 12,500-slot
+run, and a fresh process running 1e5 slots at N=20 peaked at 46-47 MB,
+against 88 MB when the whole noise array and both histories were held
+(Linux, Python 3.11, numpy 2.4).
 
 sweep() hands its cells (one loop count and strategy, all seeds) to
 run_cell(). A cell of AOI_COST seeds runs in the lockstep engine
@@ -52,7 +57,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import FRAGMENT_HEADER_SIZE, LinkConfig
-from .lockstep import RunTotals, run_lockstep
+from .lockstep import PairwiseFold, RunTotals, link_stream_state, run_lockstep
 from .mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE, Mdu
 from .plant import PlantParams, RiccatiError, solve_riccati
 from .publisher import (
@@ -73,7 +78,8 @@ ATOMIC_MIN_CAPACITY_SLACK = 10  # PDU header plus one entry header
 LOCKSTEP_COMPOUND_US = 75.0
 LOCKSTEP_ATOMIC_US = 40.0
 
-# plant noise rows converted to Python floats at a time by run()
+# slots per block of run(): plant noise, link draws and stage costs are
+# handled NOISE_ROWS slots at a time
 NOISE_ROWS = 4096
 
 _INT_FIELDS = (
@@ -291,46 +297,71 @@ def run(config, erasure_pattern=None, record_traces=False):
     except RiccatiError as exc:
         raise _no_gain(exc) from None
 
-    # one normal per loop per slot (one spare row feeds the loop-fused
-    # plant step past the horizon), then one uniform per slot, all from
-    # a single seeded stream so compared strategies share realizations
+    # the seed's stream holds one normal per loop per slot (one spare row
+    # feeds the loop-fused plant step past the horizon), then one uniform
+    # per slot, so compared strategies share realizations. Slots go by
+    # in blocks: the block of slots s..e-1 holds noise rows s+1..e and
+    # the uniforms of its slots. A run of one block draws both from one
+    # generator; a longer run reads its uniforms from a second generator
+    # that has skipped the normals.
+    block = min(NOISE_ROWS, horizon)
     rng = np.random.default_rng(config.seed)
-    noise = rng.standard_normal((horizon + 1, n))
-    noise *= np.sqrt([pl.sigma_w2 for pl in plants])
-    # noise rows become Python floats one block at a time: row t sits
-    # at rows[t % block] while the block starting at row t - t % block
-    # is held
-    block = NOISE_ROWS
-    rows = noise[:block].tolist()
+    scale = np.sqrt([pl.sigma_w2 for pl in plants])
+    noise = _noise_rows(rng, block + 1, scale)
+    row = noise.pop(0)
     if erasure_pattern is not None:
-        arrives = [not erased for erased in erasure_pattern[:horizon]]
+        link_rng = None
+    elif horizon == block:
+        link_rng = rng
     else:
-        arrives = (rng.random(horizon) >= config.loss_prob).tolist()
-
-    session = SessionHandler()
-    for i in range(n):
-        session.subscribe(session.register(f"loop/{i}"), i)
-    handler = DataHandler(
-        session,
-        policy=Policy[config.policy],
-        gains=[(pl.a, pl.sigma_w2) for pl in plants],
-        tis_enabled=strat.tis,
-        compound_maxlen=config.compound_maxlen,
-    )
-    reader = DataReader(session)
+        link_rng = np.random.Generator(np.random.PCG64())
+        link_rng.bit_generator.state = link_stream_state(config.seed, n, horizon)
 
     compound_mode = strat.compound
     filtering = strat.filtered
     tis_on = strat.tis
     threshold = config.deadband
 
+    # Mirrored data path for the default staleness-cost policy: buffer
+    # occupancy, the forward-only delivery anchors and the per-loop cost
+    # tables are tracked inline instead of over the aggregation-layer
+    # and wire-codec objects, whose behavior the mirror reproduces bit
+    # for bit (see the pinned run regressions). Other policies take the
+    # general object path below; compound packets queue in the
+    # aggregation layer whatever the policy.
+    fast_sal = Policy[config.policy] is Policy.AOI_COST
+    handler = reader = None
+    if compound_mode or not fast_sal:
+        session = SessionHandler()
+        for i in range(n):
+            session.subscribe(session.register(f"loop/{i}"), i)
+        handler = DataHandler(
+            session,
+            policy=Policy[config.policy],
+            gains=[(pl.a, pl.sigma_w2) for pl in plants],
+            tis_enabled=strat.tis,
+            compound_maxlen=config.compound_maxlen,
+        )
+        reader = DataReader(session)
+        ingest_fresh_all = handler.ingest_fresh_all
+        ingest_flagged = handler.ingest_flagged
+        select_uniform = handler.select_uniform
+        handle_ack = handler.handle_ack
+        process = reader.process
+
     x = [0.0] * n
     x_hat = [0.0] * n
     u = [0.0] * n
-    # state and input histories, written by slot: x_0..x_horizon, u_0..u_horizon-1
-    xs = [array("d", [0.0]) * (horizon + 1) for _ in range(n)]
-    us = [array("d", [0.0]) * horizon for _ in range(n)]
-    par = list(zip(a, b, neg_gain, us, xs))
+    # per loop, the block's states x_s..x_e (x_s carried at index 0) and
+    # the inputs from u_base on, which replay needs: the block's slots
+    # write both at index j - block, just past what is kept; squares of
+    # x and u over the measured window are folded block by block
+    xb = [array("d", [0.0]) * (block + 1) for _ in range(n)]
+    uw = [array("d", [0.0]) * block for _ in range(n)]
+    u_base = [0] * n
+    blank = array("d", [0.0]) * block
+    par = list(zip(a, b, neg_gain, uw, xb))
+    fold = PairwiseFold(horizon - warmup, (2 * n,))
     got_gen = [-1] * n
     got_val = [0.0] * n
     # freshness age integration: per loop, the open segment since the
@@ -345,13 +376,6 @@ def run(config, erasure_pattern=None, record_traces=False):
     trig = [False] * n
     pend = 0
 
-    # Mirrored data path for the default staleness-cost policy: buffer
-    # occupancy, the forward-only delivery anchors and the per-loop cost
-    # tables are tracked inline instead of over the aggregation-layer
-    # and wire-codec objects, whose behavior the mirror reproduces bit
-    # for bit (see the pinned run regressions). Other policies take the
-    # general object path below.
-    fast_sal = Policy[config.policy] is Policy.AOI_COST
     entry_size = PDU_ENTRY_OVERHEAD + value_size
     k_fit = (capacity - PDU_HEADER_SIZE) // entry_size
     anchor = [-1] * n
@@ -381,313 +405,342 @@ def run(config, erasure_pattern=None, record_traces=False):
     counters_base = (0, 0, 0, 0, 0, 0)
     delivery_log = [] if record_traces else None
 
-    ingest_fresh_all = handler.ingest_fresh_all
-    ingest_flagged = handler.ingest_flagged
-    select_uniform = handler.select_uniform
-    handle_ack = handler.handle_ack
-    process = reader.process
-
     # slot 0 plant step (zero state and inputs: x_0 is pure noise)
-    row = rows[0]
     for i in range(n):
         xi = row[i]
         x[i] = xi
-        xs[i][0] = xi
+        xb[i][0] = xi
         if filtering and abs(xi - last_ref[i]) > threshold:
             trig[i] = True
             last_ref[i] = xi
             pend += 1
 
-    for t in range(horizon):
-        if t == warmup:
-            counters_base = (
-                blocks,
-                pad_total,
-                triggered_total,
-                published_total,
-                delivered_total,
-                replaced_local
-                + handler.replaced_discards
-                + handler.overflow_drops
-                + reader.unsubscribed_drops,
-            )
-
-        # ------------------------------------------ publish and transmit
-        if compound_mode:
-            if filtering:
-                triggered_total += pend
-                if pend:
-                    entries = [(i, x[i]) for i in range(n) if trig[i]]
-                    handler.ingest_compound((t, entries))
-                    published_total += len(entries)
-            else:
-                triggered_total += n
-                published_total += n
-                handler.ingest_compound((t, tuple(x)))
-            fresh_packet = False
-            if not frag_left:
-                packet = handler.next_compound()
-                if packet is not None:
-                    cur_gen, cur_vals = packet
-                    count = len(cur_vals)
-                    packed_len = 1 + count * entry_size
-                    frag_left = -(-packed_len // frag_chunk)
-                    last_len = (
-                        FRAGMENT_HEADER_SIZE
-                        + packed_len
-                        - (frag_left - 1) * frag_chunk
-                    )
-                    cur_ok = True
-                    fresh_packet = True
-            if frag_left:
-                blocks += 1
-                frag_left -= 1
-                if not frag_left:
-                    pad_total += capacity - last_len
-                ok = arrives[t]
-                if per_packet:
-                    if fresh_packet:
-                        packet_fate = ok
-                    ok = packet_fate
-                if not ok:
-                    cur_ok = False
-                elif not frag_left and cur_ok:
-                    if filtering:
-                        delivered_total += len(cur_vals)
-                        for i, v in cur_vals:
-                            got_gen[i] = cur_gen
-                            got_val[i] = v
-                            if delivery_log is not None:
-                                delivery_log.append((t, i, cur_gen))
-                    else:
-                        delivered_total += n
-                        for i in range(n):
-                            got_gen[i] = cur_gen
-                            got_val[i] = cur_vals[i]
-                            if delivery_log is not None:
-                                delivery_log.append((t, i, cur_gen))
-        elif fast_sal:
-            # --------------- mirrored ingest / rank / deliver, one pass
-            if filtering:
-                triggered_total += pend
-                published_total += n if tis_on else pend
-            else:
-                triggered_total += n
-                published_total += n
-            if filtering and not tis_on:
-                for i in range(n):
-                    if trig[i]:
-                        if buf_gen[i] >= 0:
-                            replaced_local += 1
-                        buf_gen[i] = t
-                        buf_val[i] = x[i]
-            else:
-                # every buffer is rewritten each slot, so the overwrite
-                # count is just the occupancy left by the last selection
-                replaced_local += occupied
-                occupied = n
-            # rank by staleness cost, scanning ids downward so the
-            # lower id wins cost ties by displacing its equal; the
-            # scan variants only differ in candidate admission
-            top_cost = []
-            top_id = []
-            if not filtering:
-                for i in range(n - 1, -1, -1):
-                    delta = t - anchor[i]
-                    tab = g_tab[i]
-                    if delta < len(tab):
-                        cost = tab[delta]
-                    else:
-                        cost = tab[-1]
-                        ai2 = a2[i]
-                        si2 = s2[i]
-                        for _ in range(len(tab), delta + 1):
-                            cost = ai2 * cost + si2
-                            tab.append(cost)
-                    held = len(top_cost)
-                    if held == k_fit:
-                        if cost < top_cost[-1]:
-                            continue
-                        top_cost.pop()
-                        top_id.pop()
-                        held -= 1
-                    pos = 0
-                    while pos < held and top_cost[pos] > cost:
-                        pos += 1
-                    top_cost.insert(pos, cost)
-                    top_id.insert(pos, i)
-            elif not tis_on:
-                for i in range(n - 1, -1, -1):
-                    if buf_gen[i] < 0:
-                        continue
-                    delta = t - anchor[i]
-                    tab = g_tab[i]
-                    if delta < len(tab):
-                        cost = tab[delta]
-                    else:
-                        cost = tab[-1]
-                        ai2 = a2[i]
-                        si2 = s2[i]
-                        for _ in range(len(tab), delta + 1):
-                            cost = ai2 * cost + si2
-                            tab.append(cost)
-                    held = len(top_cost)
-                    if held == k_fit:
-                        if cost < top_cost[-1]:
-                            continue
-                        top_cost.pop()
-                        top_id.pop()
-                        held -= 1
-                    pos = 0
-                    while pos < held and top_cost[pos] > cost:
-                        pos += 1
-                    top_cost.insert(pos, cost)
-                    top_id.insert(pos, i)
-            else:
-                sup_cost = []
-                sup_id = []
-                adm_total = 0
-                for i in range(n - 1, -1, -1):
-                    if trig[i]:
-                        adm_total += 1
-                        costs = top_cost
-                        ids = top_id
-                    else:
-                        costs = sup_cost
-                        ids = sup_id
-                    delta = t - anchor[i]
-                    tab = g_tab[i]
-                    if delta < len(tab):
-                        cost = tab[delta]
-                    else:
-                        cost = tab[-1]
-                        ai2 = a2[i]
-                        si2 = s2[i]
-                        for _ in range(len(tab), delta + 1):
-                            cost = ai2 * cost + si2
-                            tab.append(cost)
-                    held = len(costs)
-                    if held == k_fit:
-                        if cost < costs[-1]:
-                            continue
-                        costs.pop()
-                        ids.pop()
-                        held -= 1
-                    pos = 0
-                    while pos < held and costs[pos] > cost:
-                        pos += 1
-                    costs.insert(pos, cost)
-                    ids.insert(pos, i)
-                if adm_total < k_fit and sup_id:
-                    top_id = top_id + sup_id[: k_fit - adm_total]
-            if top_id:
-                blocks += 1
-                pad_total += capacity - PDU_HEADER_SIZE - len(top_id) * entry_size
-                ok = arrives[t]
-                if filtering and not tis_on:
-                    delivered_total += len(top_id) if ok else 0
-                    for i in top_id:
-                        g = buf_gen[i]
-                        buf_gen[i] = -1
-                        if ok:
-                            got_gen[i] = g
-                            got_val[i] = buf_val[i]
-                            anchor[i] = g
-                            if delivery_log is not None:
-                                delivery_log.append((t, i, g))
-                else:
-                    occupied -= len(top_id)
-                    if ok:
-                        delivered_total += len(top_id)
-                        for i in top_id:
-                            got_gen[i] = t
-                            got_val[i] = x[i]
-                            anchor[i] = t
-                            if delivery_log is not None:
-                                delivery_log.append((t, i, t))
+    for s in range(0, horizon, block):
+        size = min(block, horizon - s)
+        if s:
+            noise.clear()  # never hold two blocks at once
+            noise = _noise_rows(rng, size, scale)
+        if link_rng is None:
+            arrives = [not erased for erased in erasure_pattern[s : s + size]]
         else:
-            if filtering:
-                triggered_total += pend
-                published_total += n if tis_on else pend
-                ingest_flagged(t, x, value_size, trig, tis_on)
-            else:
-                triggered_total += n
-                published_total += n
-                ingest_fresh_all(t, x, value_size)
-            picked = select_uniform(capacity, t, value_size)
-            if picked:
-                blocks += 1
-                pdu = compose_pdu(
-                    [
-                        Mdu(e[0], e[1], encode_value(e[2], value_size))
-                        for e in picked
-                    ],
-                    capacity,
+            arrives = (link_rng.random(size) >= config.loss_prob).tolist()
+        for j in range(size):
+            t = s + j
+            if t == warmup:
+                counters_base = (
+                    blocks,
+                    pad_total,
+                    triggered_total,
+                    published_total,
+                    delivered_total,
+                    replaced_local + _sal_discards(handler, reader),
                 )
-                pad_total += pdu.padding_bytes
-                if arrives[t]:
-                    deliveries, acks = process(pdu, t)
-                    for ack in acks:
-                        handle_ack(ack)
-                    delivered_total += len(deliveries)
-                    for mdu, _subs in deliveries:
-                        mid = mdu.id
-                        got_gen[mid] = mdu.gen_time
-                        got_val[mid] = decode_value(mdu.payload, value_size)
-                        if delivery_log is not None:
-                            delivery_log.append((t, mid, mdu.gen_time))
 
-        # ------------- controller update for t fused with plant step t+1
-        t1 = t + 1
-        in_block = t1 % block
-        if not in_block:
-            rows.clear()  # never hold two blocks at once
-            rows = noise[t1 : t1 + block].tolist()
-        row = rows[in_block]
-        pend = 0
-        for i in range(n):
-            ai, bi, ngi, us_i, xs_i = par[i]
-            gen = got_gen[i]
-            if gen >= 0:
-                got_gen[i] = -1
-                value = got_val[i]
-                if gen == t:
-                    xh = value
+            # ------------------------------------------ publish and transmit
+            if compound_mode:
+                if filtering:
+                    triggered_total += pend
+                    if pend:
+                        entries = [(i, x[i]) for i in range(n) if trig[i]]
+                        handler.ingest_compound((t, entries))
+                        published_total += len(entries)
                 else:
-                    past = us[i]
-                    xh = value
-                    for k in range(gen, t):
-                        xh = ai * xh + bi * past[k]
-                prev = seg_slot[i]
-                lo = prev + 1
-                hi = t - 1
-                if hi >= warmup and hi >= lo:
-                    if lo < warmup:
-                        lo = warmup
-                    first_age = seg_age[i] + (lo - prev)
-                    m = hi - lo + 1
-                    area[i] += m * first_age + (m * (m - 1)) // 2
-                age_now = t - gen
-                if t >= warmup:
-                    area[i] += age_now
-                seg_slot[i] = t
-                seg_age[i] = age_now
+                    triggered_total += n
+                    published_total += n
+                    handler.ingest_compound((t, tuple(x)))
+                fresh_packet = False
+                if not frag_left:
+                    packet = handler.next_compound()
+                    if packet is not None:
+                        cur_gen, cur_vals = packet
+                        count = len(cur_vals)
+                        packed_len = 1 + count * entry_size
+                        frag_left = -(-packed_len // frag_chunk)
+                        last_len = (
+                            FRAGMENT_HEADER_SIZE
+                            + packed_len
+                            - (frag_left - 1) * frag_chunk
+                        )
+                        cur_ok = True
+                        fresh_packet = True
+                if frag_left:
+                    blocks += 1
+                    frag_left -= 1
+                    if not frag_left:
+                        pad_total += capacity - last_len
+                    ok = arrives[j]
+                    if per_packet:
+                        if fresh_packet:
+                            packet_fate = ok
+                        ok = packet_fate
+                    if not ok:
+                        cur_ok = False
+                    elif not frag_left and cur_ok:
+                        if filtering:
+                            delivered_total += len(cur_vals)
+                            for i, v in cur_vals:
+                                got_gen[i] = cur_gen
+                                got_val[i] = v
+                                if delivery_log is not None:
+                                    delivery_log.append((t, i, cur_gen))
+                        else:
+                            delivered_total += n
+                            for i in range(n):
+                                got_gen[i] = cur_gen
+                                got_val[i] = cur_vals[i]
+                                if delivery_log is not None:
+                                    delivery_log.append((t, i, cur_gen))
+            elif fast_sal:
+                # --------------- mirrored ingest / rank / deliver, one pass
+                if filtering:
+                    triggered_total += pend
+                    published_total += n if tis_on else pend
+                else:
+                    triggered_total += n
+                    published_total += n
+                if filtering and not tis_on:
+                    for i in range(n):
+                        if trig[i]:
+                            if buf_gen[i] >= 0:
+                                replaced_local += 1
+                            buf_gen[i] = t
+                            buf_val[i] = x[i]
+                else:
+                    # every buffer is rewritten each slot, so the overwrite
+                    # count is just the occupancy left by the last selection
+                    replaced_local += occupied
+                    occupied = n
+                # rank by staleness cost, scanning ids downward so the
+                # lower id wins cost ties by displacing its equal; the
+                # scan variants only differ in candidate admission
+                top_cost = []
+                top_id = []
+                if not filtering:
+                    for i in range(n - 1, -1, -1):
+                        delta = t - anchor[i]
+                        tab = g_tab[i]
+                        if delta < len(tab):
+                            cost = tab[delta]
+                        else:
+                            cost = tab[-1]
+                            ai2 = a2[i]
+                            si2 = s2[i]
+                            for _ in range(len(tab), delta + 1):
+                                cost = ai2 * cost + si2
+                                tab.append(cost)
+                        held = len(top_cost)
+                        if held == k_fit:
+                            if cost < top_cost[-1]:
+                                continue
+                            top_cost.pop()
+                            top_id.pop()
+                            held -= 1
+                        pos = 0
+                        while pos < held and top_cost[pos] > cost:
+                            pos += 1
+                        top_cost.insert(pos, cost)
+                        top_id.insert(pos, i)
+                elif not tis_on:
+                    for i in range(n - 1, -1, -1):
+                        if buf_gen[i] < 0:
+                            continue
+                        delta = t - anchor[i]
+                        tab = g_tab[i]
+                        if delta < len(tab):
+                            cost = tab[delta]
+                        else:
+                            cost = tab[-1]
+                            ai2 = a2[i]
+                            si2 = s2[i]
+                            for _ in range(len(tab), delta + 1):
+                                cost = ai2 * cost + si2
+                                tab.append(cost)
+                        held = len(top_cost)
+                        if held == k_fit:
+                            if cost < top_cost[-1]:
+                                continue
+                            top_cost.pop()
+                            top_id.pop()
+                            held -= 1
+                        pos = 0
+                        while pos < held and top_cost[pos] > cost:
+                            pos += 1
+                        top_cost.insert(pos, cost)
+                        top_id.insert(pos, i)
+                else:
+                    sup_cost = []
+                    sup_id = []
+                    adm_total = 0
+                    for i in range(n - 1, -1, -1):
+                        if trig[i]:
+                            adm_total += 1
+                            costs = top_cost
+                            ids = top_id
+                        else:
+                            costs = sup_cost
+                            ids = sup_id
+                        delta = t - anchor[i]
+                        tab = g_tab[i]
+                        if delta < len(tab):
+                            cost = tab[delta]
+                        else:
+                            cost = tab[-1]
+                            ai2 = a2[i]
+                            si2 = s2[i]
+                            for _ in range(len(tab), delta + 1):
+                                cost = ai2 * cost + si2
+                                tab.append(cost)
+                        held = len(costs)
+                        if held == k_fit:
+                            if cost < costs[-1]:
+                                continue
+                            costs.pop()
+                            ids.pop()
+                            held -= 1
+                        pos = 0
+                        while pos < held and costs[pos] > cost:
+                            pos += 1
+                        costs.insert(pos, cost)
+                        ids.insert(pos, i)
+                    if adm_total < k_fit and sup_id:
+                        top_id = top_id + sup_id[: k_fit - adm_total]
+                if top_id:
+                    blocks += 1
+                    pad_total += capacity - PDU_HEADER_SIZE - len(top_id) * entry_size
+                    ok = arrives[j]
+                    if filtering and not tis_on:
+                        delivered_total += len(top_id) if ok else 0
+                        for i in top_id:
+                            g = buf_gen[i]
+                            buf_gen[i] = -1
+                            if ok:
+                                got_gen[i] = g
+                                got_val[i] = buf_val[i]
+                                anchor[i] = g
+                                if delivery_log is not None:
+                                    delivery_log.append((t, i, g))
+                    else:
+                        occupied -= len(top_id)
+                        if ok:
+                            delivered_total += len(top_id)
+                            for i in top_id:
+                                got_gen[i] = t
+                                got_val[i] = x[i]
+                                anchor[i] = t
+                                if delivery_log is not None:
+                                    delivery_log.append((t, i, t))
             else:
-                xh = ai * x_hat[i] + bi * u[i]
-            x_hat[i] = xh
-            ui = ngi * xh
-            u[i] = ui
-            us_i[t] = ui
-            xi = ai * x[i] + bi * ui + row[i]
-            x[i] = xi
-            xs_i[t1] = xi
-            if filtering:
-                if abs(xi - last_ref[i]) > threshold:
-                    trig[i] = True
-                    last_ref[i] = xi
-                    pend += 1
+                if filtering:
+                    triggered_total += pend
+                    published_total += n if tis_on else pend
+                    ingest_flagged(t, x, value_size, trig, tis_on)
                 else:
-                    trig[i] = False
+                    triggered_total += n
+                    published_total += n
+                    ingest_fresh_all(t, x, value_size)
+                picked = select_uniform(capacity, t, value_size)
+                if picked:
+                    blocks += 1
+                    pdu = compose_pdu(
+                        [
+                            Mdu(e[0], e[1], encode_value(e[2], value_size))
+                            for e in picked
+                        ],
+                        capacity,
+                    )
+                    pad_total += pdu.padding_bytes
+                    if arrives[j]:
+                        deliveries, acks = process(pdu, t)
+                        for ack in acks:
+                            handle_ack(ack)
+                        delivered_total += len(deliveries)
+                        for mdu, _subs in deliveries:
+                            mid = mdu.id
+                            got_gen[mid] = mdu.gen_time
+                            got_val[mid] = decode_value(mdu.payload, value_size)
+                            if delivery_log is not None:
+                                delivery_log.append((t, mid, mdu.gen_time))
+
+            # ------------- controller update for t fused with plant step t+1
+            at = j - block
+            row = noise[j]
+            pend = 0
+            for i in range(n):
+                ai, bi, ngi, uw_i, xb_i = par[i]
+                gen = got_gen[i]
+                if gen >= 0:
+                    got_gen[i] = -1
+                    value = got_val[i]
+                    xh = value
+                    if gen != t:
+                        for uk in uw_i[gen - u_base[i] : at]:
+                            xh = ai * xh + bi * uk
+                    prev = seg_slot[i]
+                    lo = prev + 1
+                    hi = t - 1
+                    if hi >= warmup and hi >= lo:
+                        if lo < warmup:
+                            lo = warmup
+                        first_age = seg_age[i] + (lo - prev)
+                        m = hi - lo + 1
+                        area[i] += m * first_age + (m * (m - 1)) // 2
+                    age_now = t - gen
+                    if t >= warmup:
+                        area[i] += age_now
+                    seg_slot[i] = t
+                    seg_age[i] = age_now
+                else:
+                    xh = ai * x_hat[i] + bi * u[i]
+                x_hat[i] = xh
+                ui = ngi * xh
+                u[i] = ui
+                uw_i[at] = ui
+                xi = ai * x[i] + bi * ui + row[i]
+                x[i] = xi
+                xb_i[at] = xi
+                if filtering:
+                    if abs(xi - last_ref[i]) > threshold:
+                        trig[i] = True
+                        last_ref[i] = xi
+                        pend += 1
+                    else:
+                        trig[i] = False
+
+        # the block's measured slots join the stage-cost sums
+        lo = max(warmup - s, 0)
+        if lo < size:
+            squares = np.array(
+                [np.frombuffer(xb_i)[lo:size] for xb_i in xb]
+                + [np.frombuffer(uw_i)[len(uw_i) - block :][lo:size] for uw_i in uw]
+            )
+            squares *= squares
+            fold.extend(squares.T)
+        end = s + size
+        if end < horizon:
+            for xb_i, xi in zip(xb, x):
+                xb_i[0] = xi
+            # each loop keeps its inputs back to the oldest generation
+            # that a later slot can still deliver to it; the packet on
+            # the wire is older than every queued one, and any packet
+            # may carry any loop
+            if compound_mode:
+                if frag_left:
+                    held_gen = cur_gen
+                else:
+                    queued = handler.peek_compound()
+                    held_gen = end if queued is None else queued[0]
+                oldest = [held_gen] * n
+            elif fast_sal:
+                oldest = [end if gen < 0 else gen for gen in buf_gen]
+            else:
+                oldest = [
+                    end if held is None else held.gen_time
+                    for held in map(handler.occupant, range(n))
+                ]
+            for i, uw_i in enumerate(uw):
+                del uw_i[: oldest[i] - u_base[i]]
+                uw_i.extend(blank)
+            u_base = oldest
 
     # close each loop's open age segment at the end of the horizon
     for i in range(n):
@@ -701,18 +754,13 @@ def run(config, erasure_pattern=None, record_traces=False):
             m = hi - lo + 1
             area[i] += m * first_age + (m * (m - 1)) // 2
 
+    squared = fold.total().tolist()
     base = counters_base
-    discards = (
-        replaced_local
-        + handler.replaced_discards
-        + handler.overflow_drops
-        + reader.unsubscribed_drops
-        - base[5]
-    )
+    discards = replaced_local + _sal_discards(handler, reader) - base[5]
     totals = RunTotals(
         area=area,
-        x_sq=[_window_square_sum(s, warmup, horizon) for s in xs],
-        u_sq=[_window_square_sum(s, warmup, horizon) for s in us],
+        x_sq=squared[:n],
+        u_sq=squared[n:],
         blocks=blocks - base[0],
         padding=pad_total - base[1],
         triggered=triggered_total - base[2],
@@ -766,9 +814,18 @@ def _no_gain(exc):
     return ConfigError(f"no stationary LQR gain for these plants: {exc}")
 
 
-def _window_square_sum(series, warmup, horizon):
-    window = np.frombuffer(series)[warmup:horizon]
-    return float(np.sum(window * window))
+def _sal_discards(handler, reader):
+    """Samples the aggregation-layer objects have dropped, if a run has them."""
+    if handler is None:
+        return 0
+    return handler.replaced_discards + handler.overflow_drops + reader.unsubscribed_drops
+
+
+def _noise_rows(rng, rows, scale):
+    """The generator's next `rows` rows of plant noise, as Python floats."""
+    noise = rng.standard_normal((rows, len(scale)))
+    noise *= scale
+    return noise.tolist()
 
 
 def _result(config, strat, plants, totals, aoi_trace=None, delivery_log=None):
@@ -820,6 +877,8 @@ def sweep(base, n_values, strategy_tokens, jobs=1):
     canonical order, then seeds base.seed .. base.seed+repetitions-1.
     base.tis upgrades plain FA tokens to FA+TIS.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     try:
         sizes = sorted({int(v) for v in n_values})
         labels = _canonical_tokens(strategy_tokens, base.tis)
@@ -846,7 +905,9 @@ def sweep(base, n_values, strategy_tokens, jobs=1):
         for part in ([cell] if _takes_lockstep(cell) else [[config] for config in cell])
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # fork starts every worker at the first submit, so ask for no
+        # more workers than there are tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             done = list(pool.map(run_cell, tasks))
     else:
         done = [run_cell(task) for task in tasks]

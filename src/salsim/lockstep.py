@@ -11,7 +11,9 @@ How the scalar engine's sequential parts map onto arrays:
 - Random streams. A seed's stream holds all plant normals, then one
   link uniform per slot. Normals are drawn block by block from one
   generator; the uniforms come from a second generator of the same seed
-  that has drawn and discarded the normals once.
+  that has drawn and discarded the normals once (link_stream_state,
+  memoised, so the cells of one loop count share the skip). engine.run
+  reads a run longer than one block the same way.
 - Staleness ranking. Cost tables g(d+1) = a^2 g(d) + sigma_w2 are
   shared by the cell and grown on demand. The top k are taken by k
   rounds of argmax, which returns the first maximum, so the lower id
@@ -24,7 +26,9 @@ How the scalar engine's sequential parts map onto arrays:
   the shadow already holds the replayed value.
 - Stage costs. Per-loop sums of x^2 and u^2 are folded block by block in
   numpy's pairwise summation order (PairwiseFold), so no array spans the
-  horizon.
+  horizon. Each node of numpy's tree of at most FOLD_CAP values is one
+  np.sum over a contiguous last axis, which sums each row in that same
+  order; engine.run folds its blocks with the same class.
 
 Only the AOI_COST policy, without erasure scripts or traces, runs here.
 """
@@ -41,10 +45,11 @@ from .plant import solve_riccati
 BLOCK = 512  # slots per block of random draws and stage-cost folding
 SKIP_ROWS = 4096  # normal rows per draw when skipping a seed's normals
 
-# numpy's pairwise summation: leaves of at most PAIRWISE_LEAF values,
-# summed with PAIRWISE_UNROLL interleaved accumulators
-PAIRWISE_LEAF = 128
+# numpy's pairwise summation splits a run of values at a multiple of
+# PAIRWISE_UNROLL; PairwiseFold sums each node of that tree of at most
+# FOLD_CAP values with one np.sum
 PAIRWISE_UNROLL = 8
+FOLD_CAP = 1024
 
 
 class RunTotals(NamedTuple):
@@ -64,16 +69,17 @@ class RunTotals(NamedTuple):
 # ----------------------------------------------------------- reduction
 
 
-def _pairwise_plan(length):
-    """numpy's pairwise-sum tree over `length` values, leaf by leaf.
+def _pairwise_nodes(length):
+    """numpy's pairwise-sum tree over `length` values, cut at FOLD_CAP.
 
-    Returns [leaf_length, merges] pairs in order, where merges counts
-    the subtree sums that complete once that leaf is added.
+    Returns [node_length, merges] pairs in order: the nodes of at most
+    FOLD_CAP values that the tree's splits reach first, each with the
+    count of subtree sums that complete once that node is added.
     """
     plan = []
 
     def split(count):
-        if count <= PAIRWISE_LEAF:
+        if count <= FOLD_CAP:
             plan.append([count, 0])
             return
         half = count // 2
@@ -86,64 +92,59 @@ def _pairwise_plan(length):
     return plan
 
 
-def _leaf_sum(values):
-    """One pairwise-sum leaf over axis 0, as numpy sums it."""
-    count = len(values)
-    if count < PAIRWISE_UNROLL:
-        total = np.zeros(values.shape[1:])
-        for row in values:
-            total += row
-        return total
-    acc = values[:PAIRWISE_UNROLL].copy()
-    whole = count - count % PAIRWISE_UNROLL
-    for i in range(PAIRWISE_UNROLL, whole, PAIRWISE_UNROLL):
-        acc += values[i : i + PAIRWISE_UNROLL]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for row in values[whole:]:
-        total += row
-    return total
-
-
 class PairwiseFold:
     """Sums a stream of equal-shape arrays elementwise, fed block by block.
 
-    For `length` values in all, total() equals float(np.sum(series)) bit
-    for bit for every element's series, because leaves and merges follow
-    numpy's pairwise order; only one leaf of values is held at a time.
+    For `length` values in all, total() equals np.sum(series) bit for
+    bit for every element's series. np.sum over a contiguous last axis
+    sums each row in numpy's pairwise order, so each node of that tree
+    of at most FOLD_CAP values is one np.sum, and node sums merge in the
+    tree's order. Only one node of values is held at a time.
     """
 
     def __init__(self, length, shape):
-        self._plan = iter(_pairwise_plan(length))
-        self._leaf, self._merges = next(self._plan)
-        self._buf = np.empty((PAIRWISE_LEAF,) + tuple(shape))
+        self._plan = iter(_pairwise_nodes(length))
+        self._node, self._merges = next(self._plan)
+        self._shape = tuple(shape)
+        self._time_last = (*range(1, len(self._shape) + 1), 0)
+        self._cap = min(length, FOLD_CAP)
+        self._buf = None
         self._fill = 0
         self._stack = []
 
     def extend(self, block):
         """Append block[0], block[1], ... (time runs along axis 0)."""
-        while len(block):
-            need = self._leaf - self._fill
-            part = block[:need]
-            if not self._fill and len(part) == need:
+        values = block.transpose(self._time_last)
+        size = values.shape[-1]
+        contiguous = values.strides[-1] == values.itemsize
+        at = 0
+        while at < size:
+            if not self._node:
+                raise ValueError("the fold has received more than its length")
+            take = min(self._node - self._fill, size - at)
+            part = values if take == size else values[..., at : at + take]
+            at += take
+            if take == self._node and contiguous:
                 self._close(part)
-            else:
-                self._buf[self._fill : self._fill + len(part)] = part
-                self._fill += len(part)
-                if self._fill == self._leaf:
-                    self._close(self._buf[: self._leaf])
-            block = block[need:]
+                continue
+            if self._buf is None:
+                self._buf = np.empty(self._shape + (self._cap,))
+            self._buf[..., self._fill : self._fill + take] = part
+            self._fill += take
+            if self._fill == self._node:
+                self._close(self._buf[..., : self._node])
 
     def _close(self, values):
         stack = self._stack
-        stack.append(_leaf_sum(values))
+        stack.append(np.add.reduce(values, axis=-1))
         for _ in range(self._merges):
             right = stack.pop()
             stack[-1] = stack[-1] + right
         self._fill = 0
-        self._leaf, self._merges = next(self._plan, (0, 0))
+        self._node, self._merges = next(self._plan, (0, 0))
 
     def total(self):
-        if self._leaf or len(self._stack) != 1:
+        if self._node or len(self._stack) != 1:
             raise ValueError("the fold has not received all of its values")
         return self._stack[0]
 
@@ -152,7 +153,7 @@ class PairwiseFold:
 
 
 @lru_cache(maxsize=64)
-def _link_stream_state(seed, n, horizon):
+def link_stream_state(seed, n, horizon):
     """Generator state at which a seed's link uniforms begin.
 
     That is after its (horizon + 1) x n plant normals. The cells of a
@@ -175,7 +176,7 @@ class _Streams:
         self.uniform = []
         for seed in seeds:
             bits = np.random.PCG64()
-            bits.state = _link_stream_state(seed, n, horizon)
+            bits.state = link_stream_state(seed, n, horizon)
             self.uniform.append(np.random.Generator(bits))
 
     def noise(self, rows):

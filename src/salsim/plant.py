@@ -41,23 +41,34 @@ def solve_riccati(a, b, q, r, tol=1e-12, max_iter=10**6):
 
     Plain fixed-point iteration from P = q, stopped when successive
     iterates differ by at most `tol`, or when rounding traps them in a
-    cycle of two values a few ulps apart (large P, where `tol` is below
-    one ulp); the later iterate is then the solution. Returns (P, L)
-    with the feedback gain L = a b P / (r + b^2 P), so that u = -L x_hat.
+    cycle of values a few ulps apart (large P, where `tol` is below one
+    ulp). An iterate equal to the one two steps back ends a two-cycle;
+    longer cycles end when an iterate equals a checkpoint, an earlier
+    iterate kept at power-of-two step counts. The iterate that closed
+    the cycle is then the solution. Either stop needs a repeated
+    iterate, and from then on every step repeats a difference already
+    held against `tol`, so no plant that `tol` settles is affected.
+    Returns (P, L) with the feedback gain L = a b P / (r + b^2 P), so
+    that u = -L x_hat.
     Raises RiccatiError when the iteration does not settle or overflows.
     """
     P = q
     before = math.nan  # the iterate before P
+    mark = math.nan  # the checkpoint
+    next_mark = 1
     a2 = a * a
     b2 = b * b
-    for _ in range(max_iter):
+    for step in range(max_iter):
         try:
             nxt = q + a2 * P - (a * b * P) ** 2 / (r + b2 * P)
         except OverflowError:
             raise RiccatiError(f"iterate overflowed from P = {P!r}") from None
-        if abs(nxt - P) <= tol or nxt == before:
+        if abs(nxt - P) <= tol or nxt == before or nxt == mark:
             P = nxt
             return P, a * b * P / (r + b2 * P)
+        if step == next_mark:
+            mark = nxt
+            next_mark *= 2
         before = P
         P = nxt
     raise RiccatiError(f"no convergence within {max_iter} iterations")

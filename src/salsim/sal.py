@@ -234,6 +234,10 @@ class DataHandler:
     def next_compound(self):
         return self._queue.popleft() if self._queue else None
 
+    def peek_compound(self):
+        """The packet next_compound would return, left in the queue."""
+        return self._queue[0] if self._queue else None
+
     def occupant(self, mdu_id):
         if self._gen[mdu_id] < 0:
             return None

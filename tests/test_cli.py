@@ -122,6 +122,7 @@ def test_sweep_rejects_bad_grid_arguments(cfg, tmp_path):
     assert main(base + ["--n", "2,x", "--strategies", "UA"]) == 1
     assert main(base + ["--n", ",", "--strategies", "UA"]) == 1
     assert main(base + ["--n", "2,3", "--strategies", "banana"]) == 1
+    assert main(base + ["--n", "2", "--strategies", "UA", "--jobs", "0"]) == 1
 
 
 def test_plot_error_mapping(cfg, tmp_path):

@@ -182,42 +182,76 @@ def test_noise_stream_is_strategy_independent():
     assert len(set(costs.values())) == 1
 
 
+# (case, overrides, a delivery (slot, loop, gen) the case must make);
+# FA, FC and UC replay samples from slots up to 9 back, FA/FIFO holds
+# the first sample of loop 7 in a starved buffer for six slots
+NOISE_BLOCK_CASES = [
+    ("UA", dict(strategy="UA"), None),
+    ("FA+TIS", dict(strategy="FA+TIS"), None),
+    ("FC", dict(strategy="FC"), None),
+    ("UA/FIFO", dict(strategy="UA", policy="FIFO"), None),
+    ("FA", dict(strategy="FA"), None),
+    ("UC", dict(strategy="UC"), None),
+    (
+        "FA/FIFO starved",
+        dict(strategy="FA", policy="FIFO", n_loops=8, tb_capacity=40, deadband=8.0, loss_prob=0.0),
+        (6, 7, 0),
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "tok,extra",
-    [("UA", {}), ("FA+TIS", {}), ("FC", {}), ("UA", dict(policy="FIFO"))],
-    ids=["UA", "FA+TIS", "FC", "UA/FIFO"],
+    "overrides,delivery", [c[1:] for c in NOISE_BLOCK_CASES], ids=[c[0] for c in NOISE_BLOCK_CASES]
 )
-def test_noise_row_blocks_leave_every_field_unchanged(monkeypatch, tok, extra):
-    # rows reach the slot loop in blocks of NOISE_ROWS; a block of one
-    # row, blocks that end mid-run and one block for the whole run
-    # must all feed the same noise to the same slots
-    c = cfg(n_loops=4, strategy=tok, deadband=0.4, loss_prob=0.25, horizon=61, warmup=5, seed=13, **extra)
-    results = []
-    for rows in (1, 7, c.horizon + 1, c.horizon + 50):
-        monkeypatch.setattr(engine, "NOISE_ROWS", rows)
-        results.append(run(c, record_traces=True))
-    assert results[0].delivery_log and results[0].aoi_trace
-    assert all(res == results[0] for res in results[1:])
+def test_noise_row_blocks_leave_every_field_unchanged(monkeypatch, overrides, delivery):
+    # slots go by in blocks of NOISE_ROWS, each trimming the input
+    # history to what a held sample may still replay: blocks of one and
+    # two slots, blocks that end mid-run, a measured window that starts
+    # in a later block, and horizon + 1 just below, at and just above
+    # NOISE_ROWS (the one-generator case) must all give the same run
+    for warmup in (5, 25):
+        c = cfg(**{**dict(n_loops=4, deadband=0.4, loss_prob=0.25, horizon=61, warmup=warmup, seed=13), **overrides})
+        h = c.horizon
+        results = []
+        for rows in (h + 50, 1, 2, 7, h - 1, h, h + 1, h + 2):
+            monkeypatch.setattr(engine, "NOISE_ROWS", rows)
+            results.append(run(c, record_traces=True))
+        log = results[0].delivery_log
+        assert log and results[0].aoi_trace
+        assert all(res == results[0] for res in results[1:])
+        if c.strategy in ("FA", "FC", "UC"):
+            # a sample from two or more slots back crosses trimmed blocks
+            assert max(slot - gen for slot, _loop, gen in log) >= 2
+        if delivery is not None:
+            assert delivery in log
 
 
-# peak resident growth of one N=20, 50k-slot run after a warm-up run,
-# in bytes per loop-slot
+# peak resident growth of an N=20 run after a warm-up run, in bytes per
+# loop-slot: of a 50k-slot run, and of its 37.5k slots beyond a
+# 12.5k-slot run
 MEMORY_PROBE = """
 import resource, sys
 from salsim.engine import SimConfig, run
-run(SimConfig(n_loops=20, horizon=2_000, warmup=100, strategy="UA"))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+def peak():
+    unit = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
+
+run(SimConfig(n_loops=20, horizon=10_000, warmup=100, strategy="UA"))
+before = peak()
+run(SimConfig(n_loops=20, horizon=12_500, warmup=1_000, strategy="UA"))
+short = peak()
 run(SimConfig(n_loops=20, horizon=50_000, warmup=1_000, strategy="UA"))
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-unit = 1 if sys.platform == "darwin" else 1024
-print((after - before) * unit / (20 * 50_000))
+after = peak()
+print((after - before) / (20 * 50_000), (after - short) / (20 * 37_500))
 """
 
 
 def test_run_peak_memory_per_loop_slot():
-    # the noise array (8 B) and the state and input histories (16 B)
-    # take about 24 B per loop-slot; holding every noise row as Python
-    # floats instead cost about 65 B
+    # blocks of noise, link draws, states and inputs take the same
+    # memory whatever the horizon; the whole noise array and the state
+    # and input histories took about 24 B per loop-slot, and holding
+    # every noise row as Python floats about 65 B
     src = os.path.dirname(os.path.dirname(salsim.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", MEMORY_PROBE],
@@ -226,7 +260,9 @@ def test_run_peak_memory_per_loop_slot():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 45.0
+    per_slot, per_extra_slot = map(float, proc.stdout.split())
+    assert per_slot < 45.0
+    assert per_extra_slot < 1.0
 
 
 # ------------------------------------------------------- conservation
@@ -309,6 +345,37 @@ def test_sweep_summary_bands():
     for s in summary:
         assert s.aoi_min <= s.aoi_mean <= s.aoi_max
         assert s.lqg_min <= s.lqg_mean <= s.lqg_max
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(ConfigError, match="jobs must be at least 1"):
+        sweep(cfg(horizon=20), [1], ["UA"], jobs=jobs)
+
+
+def test_sweep_asks_for_no_more_workers_than_tasks(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        # stands in for ProcessPoolExecutor without starting a process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+    base = cfg(horizon=20, repetitions=2)
+    serial = sweep(base, [1], ["UA", "FA"])
+    assert sweep(base, [1], ["UA", "FA"], jobs=64) == serial
+    assert sweep(base, [1], ["UA", "FA"], jobs=3) == serial
+    assert asked == [4, 3]
 
 
 def test_sweep_deterministic_and_parallel_equivalent():

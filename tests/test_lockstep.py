@@ -13,7 +13,7 @@ import pytest
 
 import salsim.engine as engine
 from salsim.engine import SimConfig, run, sweep
-from salsim.lockstep import PairwiseFold
+from salsim.lockstep import FOLD_CAP, PairwiseFold
 
 BASE = dict(n_loops=4, horizon=300, warmup=40, loss_prob=0.25, seed=11, repetitions=3)
 
@@ -189,3 +189,41 @@ def test_pairwise_fold_refuses_an_unfinished_stream():
     fold.extend(np.ones(150))
     with pytest.raises(ValueError):
         fold.total()
+
+
+@pytest.mark.parametrize("shape", [(), (3, 2)], ids=["scalar", "array"])
+def test_pairwise_fold_nodes_around_the_cap_and_blocks_across_nodes(shape):
+    # lengths whose tree has a single node just under, at and over the
+    # cap, and several nodes; blocks of one value, blocks inside a node
+    # and blocks that span two or more nodes
+    rng = np.random.default_rng(4)
+    cap = FOLD_CAP
+    for length in [cap - 1, cap, cap + 1, 2 * cap - 1, 2 * cap, 2 * cap + 1, 5 * cap + 9]:
+        values = mixed_magnitudes(rng, (length,) + shape)
+        want = np.apply_along_axis(lambda series: np.sum(np.ascontiguousarray(series)), 0, values)
+        for step in [1, 3, cap // 2 + 1, cap + 5, 3 * cap, length]:
+            fold = PairwiseFold(length, shape)
+            for at in range(0, length, step):
+                fold.extend(values[at : at + step])
+            assert np.array_equal(fold.total(), want), (length, step)
+
+
+def test_pairwise_fold_sums_contiguous_and_strided_blocks_alike():
+    # time-major blocks are copied into a node buffer, blocks whose time
+    # axis is contiguous in memory are summed where they lie
+    rng = np.random.default_rng(9)
+    series = mixed_magnitudes(rng, (4, 3 * FOLD_CAP + 7))
+    want = [float(np.sum(row)) for row in series]
+    strided = PairwiseFold(series.shape[1], (4,))
+    contiguous = PairwiseFold(series.shape[1], (4,))
+    for at in range(0, series.shape[1], 700):
+        strided.extend(np.ascontiguousarray(series[:, at : at + 700].T))
+        contiguous.extend(series[:, at : at + 700].T)
+    assert strided.total().tolist() == want
+    assert contiguous.total().tolist() == want
+
+
+def test_pairwise_fold_refuses_values_past_its_length():
+    fold = PairwiseFold(5, ())
+    with pytest.raises(ValueError):
+        fold.extend(np.ones(6))

@@ -109,6 +109,57 @@ def test_riccati_stops_on_a_rounding_two_cycle(q):
     assert abs(P - ref) <= 1e-8 * ref
 
 
+def _two_cycle_iteration(a, b, q, r, tol=1e-12, max_iter=20_000):
+    # the solver with its two-cycle stop but no checkpoint; None where it
+    # never settles
+    P = q
+    before = math.nan
+    for _ in range(max_iter):
+        nxt = q + a * a * P - (a * b * P) ** 2 / (r + b * b * P)
+        if abs(nxt - P) <= tol or nxt == before:
+            return nxt, a * b * nxt / (r + b * b * nxt)
+        before = P
+        P = nxt
+    return None
+
+
+def _cycle_length(a, b, q, r, max_iter=20_000):
+    # length of the cycle the iterates fall into, by a set of all iterates
+    P = q
+    seen = {}
+    for step in range(max_iter):
+        P = q + a * a * P - (a * b * P) ** 2 / (r + b * b * P)
+        if P in seen:
+            return step - seen[P]
+        seen[P] = step
+    return None
+
+
+def test_riccati_stops_on_longer_rounding_cycles():
+    # with q = 1e5, iterates of 30 grid plants fall into cycles of three
+    # to five values a few ulps apart, which neither the tolerance nor
+    # the two-cycle stop ends; plants that either stop settles keep
+    # their (P, L) bit for bit
+    cycling = 0
+    for a in [-1.3, -1.2, -1.0, -0.7, 0.0, 0.3, 0.9, 1.0, 1.05, 1.1, 1.2, 1.25, 1.3]:
+        for b in [-2.0, -0.5, 0.3, 1.0, 3.0]:
+            for q in [1e-3, 0.5, 1.0, 10.0, 1e3, 1e5]:
+                for r in [1e-3, 0.2, 1.0, 50.0, 1e4]:
+                    expected = _two_cycle_iteration(a, b, q, r)
+                    if expected is not None:
+                        assert solve_riccati(a, b, q, r) == expected, (a, b, q, r)
+                        continue
+                    if q != 1e5:
+                        continue  # slow convergence at |a| = 1, q = 1e-3, r = 1e4
+                    assert _cycle_length(a, b, q, r) in (3, 4, 5), (a, b, q, r)
+                    cycling += 1
+                    P, L = solve_riccati(a, b, q, r)
+                    ref = solve_discrete_are([[a]], [[b]], [[q]], [[r]])[0][0]
+                    assert abs(P - ref) <= 1e-12 * ref, (a, b, q, r)
+                    assert L == a * b * P / (r + b * b * P)
+    assert cycling == 30
+
+
 def test_plant_step_arithmetic():
     assert plant_step(2.0, 1.0, 0.5, 1.1, 2.0) == pytest.approx(1.1 * 2.0 + 2.0 * 1.0 + 0.5)
     assert plant_step(0.0, 0.0, 0.0, 1.2, 1.0) == 0.0
