@@ -21,18 +21,17 @@ sample always admits, strict threshold, reference moves only on
 admission); the filter is inlined here and pinned to the reference
 implementation by the filtered-vs-unfiltered equivalence tests.
 
-A run holds the same memory whatever its horizon. Slots go by in blocks
-of NOISE_ROWS: each block draws its plant noise and link uniforms, turns
-them into Python floats, and at its end folds its states and inputs into
-the stage-cost sums (lockstep.PairwiseFold, bit for bit numpy's sum over
-the whole window). Each loop's input history reaches back only to the
-oldest sample that a buffer, the compound queue or the packet on the
-wire still holds for it, since replaying a delivered sample needs the
-inputs applied since it was taken. A 50,000-slot run at N=20 raised peak
-resident memory by at most 0.1 B per extra loop-slot over a 12,500-slot
-run, and a fresh process running 1e5 slots at N=20 peaked at 46-47 MB,
-against 88 MB when the whole noise array and both histories were held
-(Linux, Python 3.11, numpy 2.4).
+A run holds the same memory whatever its horizon. Slots go by in the
+lockstep engine's blocks of lockstep.BLOCK (512): each block draws its
+plant noise and link uniforms as Python floats, and at its end folds its
+states and inputs into the stage-cost sums (lockstep.PairwiseFold, bit
+for bit numpy's sum over the whole window). Each loop's input history
+reaches back only to the oldest sample that a buffer, the compound queue
+or the packet on the wire still holds for it, as replay needs. After
+2,000-slot warm-up runs, a 1e5-slot run of 20 loops raised peak resident
+memory by at most 0.13 MB, against 5.8-7.9 MB with blocks of 4,096
+slots, whose noise rows, histories and squares the allocator keeps
+resident (Linux, Python 3.11, numpy 2.4).
 
 sweep() hands its cells (one loop count and strategy, all seeds) to
 run_cell(). A cell of AOI_COST seeds runs in the lockstep engine
@@ -49,7 +48,6 @@ import dataclasses
 import math
 import operator
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import fmean
 from typing import NamedTuple, Optional
@@ -57,7 +55,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import FRAGMENT_HEADER_SIZE, LinkConfig
-from .lockstep import PairwiseFold, RunTotals, link_stream_state, run_lockstep
+from .lockstep import BLOCK, PairwiseFold, RunTotals, link_stream_state, run_lockstep
 from .mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE, Mdu
 from .plant import PlantParams, RiccatiError, solve_riccati
 from .publisher import (
@@ -77,10 +75,6 @@ ATOMIC_MIN_CAPACITY_SLACK = 10  # PDU header plus one entry header
 # 2-vCPU Xeon, for compound (UC, FC) and atomic (UA, FA) strategies
 LOCKSTEP_COMPOUND_US = 75.0
 LOCKSTEP_ATOMIC_US = 40.0
-
-# slots per block of run(): plant noise, link draws and stage costs are
-# handled NOISE_ROWS slots at a time
-NOISE_ROWS = 4096
 
 _INT_FIELDS = (
     "n_loops",
@@ -304,7 +298,7 @@ def run(config, erasure_pattern=None, record_traces=False):
     # the uniforms of its slots. A run of one block draws both from one
     # generator; a longer run reads its uniforms from a second generator
     # that has skipped the normals.
-    block = min(NOISE_ROWS, horizon)
+    block = min(BLOCK, horizon)
     rng = np.random.default_rng(config.seed)
     scale = np.sqrt([pl.sigma_w2 for pl in plants])
     noise = _noise_rows(rng, block + 1, scale)
@@ -886,17 +880,13 @@ def sweep(base, n_values, strategy_tokens, jobs=1):
         raise ConfigError(str(exc)) from None
     if not sizes or not labels:
         raise ConfigError("sweep needs at least one loop count and one strategy")
-    cells = [
-        [
-            dataclasses.replace(base, n_loops=size, strategy=label, tis=False, seed=base.seed + rep)
-            for rep in range(base.repetitions)
-        ]
-        for size in sizes
-        for label in labels
-    ]
-    for cell in cells:
-        for config in cell:
-            config.validate()
+    cells = []
+    for size in sizes:
+        for label in labels:
+            # later seeds count up from the first, so its validate() covers them
+            first = dataclasses.replace(base, n_loops=size, strategy=label, tis=False).validate()
+            seeds = range(first.seed, first.seed + first.repetitions)
+            cells.append([dataclasses.replace(first, seed=seed) for seed in seeds])
     # a cell that does not take the lockstep pass is split into single
     # runs, so that jobs=K spreads its seeds over the workers
     tasks = [
@@ -905,8 +895,10 @@ def sweep(base, n_values, strategy_tokens, jobs=1):
         for part in ([cell] if _takes_lockstep(cell) else [[config] for config in cell])
     ]
     if jobs > 1:
-        # fork starts every worker at the first submit, so ask for no
-        # more workers than there are tasks
+        # imported only here, as it loads multiprocessing; fork starts every
+        # worker at the first submit, so ask for no more workers than tasks
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             done = list(pool.map(run_cell, tasks))
     else:
@@ -945,8 +937,10 @@ def run_cell(configs):
             raise ConfigError("a sweep cell's configs may differ only by seed")
     if not _takes_lockstep(configs):
         return [run(config) for config in configs]
-    for config in configs:
-        config.validate()
+    first.validate()  # the cell differs only by seed, so check only the later seeds
+    for config in configs[1:]:
+        if type(config.seed) is not int or config.seed < 0:
+            config.validate()  # raises validate()'s own ConfigError
     strat = first.resolved_strategy()
     plants = first.make_plants()
     try:

@@ -9,11 +9,11 @@ engine.run stays the reference these arrays are tested against.
 How the scalar engine's sequential parts map onto arrays:
 
 - Random streams. A seed's stream holds all plant normals, then one
-  link uniform per slot. Normals are drawn block by block from one
+  link uniform per slot. Normals are drawn BLOCK rows at a time from one
   generator; the uniforms come from a second generator of the same seed
-  that has drawn and discarded the normals once (link_stream_state,
+  that has skipped the normals in BLOCK-row draws (link_stream_state,
   memoised, so the cells of one loop count share the skip). engine.run
-  reads a run longer than one block the same way.
+  reads a run longer than one block the same way, in the same blocks.
 - Staleness ranking. Cost tables g(d+1) = a^2 g(d) + sigma_w2 are
   shared by the cell and grown on demand. The top k are taken by k
   rounds of argmax, which returns the first maximum, so the lower id
@@ -42,8 +42,7 @@ from .channel import FRAGMENT_HEADER_SIZE
 from .mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE
 from .plant import solve_riccati
 
-BLOCK = 512  # slots per block of random draws and stage-cost folding
-SKIP_ROWS = 4096  # normal rows per draw when skipping a seed's normals
+BLOCK = 512  # slots per block of random draws and stage-cost folding, in both engines
 
 # numpy's pairwise summation splits a run of values at a multiple of
 # PAIRWISE_UNROLL; PairwiseFold sums each node of that tree of at most
@@ -160,8 +159,8 @@ def link_stream_state(seed, n, horizon):
     sweep that share a loop count share this skip.
     """
     rng = np.random.default_rng(seed)
-    for lo in range(0, horizon + 1, SKIP_ROWS):
-        rng.standard_normal((min(SKIP_ROWS, horizon + 1 - lo), n))
+    for lo in range(0, horizon + 1, BLOCK):
+        rng.standard_normal((min(BLOCK, horizon + 1 - lo), n))
     return rng.bit_generator.state
 
 

@@ -5,6 +5,7 @@ trigger-rate fractions, an exhaustive small-horizon cross-check of the
 freshness recurrence, and determinism / stream-alignment properties.
 """
 
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -204,17 +205,17 @@ NOISE_BLOCK_CASES = [
     "overrides,delivery", [c[1:] for c in NOISE_BLOCK_CASES], ids=[c[0] for c in NOISE_BLOCK_CASES]
 )
 def test_noise_row_blocks_leave_every_field_unchanged(monkeypatch, overrides, delivery):
-    # slots go by in blocks of NOISE_ROWS, each trimming the input
-    # history to what a held sample may still replay: blocks of one and
-    # two slots, blocks that end mid-run, a measured window that starts
-    # in a later block, and horizon + 1 just below, at and just above
-    # NOISE_ROWS (the one-generator case) must all give the same run
+    # slots go by in blocks of BLOCK, each trimming the input history
+    # to what a held sample may still replay: blocks of one and two
+    # slots, blocks that end mid-run, a measured window that starts in
+    # a later block, and horizon + 1 just below, at and just above
+    # BLOCK (the one-generator case) must all give the same run
     for warmup in (5, 25):
         c = cfg(**{**dict(n_loops=4, deadband=0.4, loss_prob=0.25, horizon=61, warmup=warmup, seed=13), **overrides})
         h = c.horizon
         results = []
         for rows in (h + 50, 1, 2, 7, h - 1, h, h + 1, h + 2):
-            monkeypatch.setattr(engine, "NOISE_ROWS", rows)
+            monkeypatch.setattr(engine, "BLOCK", rows)
             results.append(run(c, record_traces=True))
         log = results[0].delivery_log
         assert log and results[0].aoi_trace
@@ -224,6 +225,19 @@ def test_noise_row_blocks_leave_every_field_unchanged(monkeypatch, overrides, de
             assert max(slot - gen for slot, _loop, gen in log) >= 2
         if delivery is not None:
             assert delivery in log
+
+
+def python_output(code):
+    """Standard output of `code` run by a fresh interpreter on this salsim."""
+    src = os.path.dirname(os.path.dirname(salsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 # peak resident growth of an N=20 run after a warm-up run, in bytes per
@@ -252,17 +266,37 @@ def test_run_peak_memory_per_loop_slot():
     # memory whatever the horizon; the whole noise array and the state
     # and input histories took about 24 B per loop-slot, and holding
     # every noise row as Python floats about 65 B
-    src = os.path.dirname(os.path.dirname(salsim.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", MEMORY_PROBE],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    per_slot, per_extra_slot = map(float, proc.stdout.split())
+    per_slot, per_extra_slot = map(float, python_output(MEMORY_PROBE).split())
     assert per_slot < 45.0
     assert per_extra_slot < 1.0
+
+
+# peak resident growth, in MB, of 50k-slot N=20 runs of UA, FA and UC
+# after 2,000-slot warm-up runs of each
+BLOCK_MEMORY_PROBE = """
+import resource, sys
+from salsim.engine import SimConfig, run
+
+def peak():
+    unit = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
+
+for tok in ("UA", "FA", "UC"):
+    run(SimConfig(n_loops=20, horizon=2_000, warmup=100, strategy=tok))
+before = peak()
+for tok in ("UA", "FA", "UC"):
+    run(SimConfig(n_loops=20, horizon=50_000, warmup=1_000, strategy=tok))
+    print((peak() - before) / 1e6)
+"""
+
+
+def test_long_runs_hold_no_more_than_a_warm_up_run():
+    # a block's noise rows, state and input histories and squares stay
+    # resident once allocated; blocks of 4,096 slots raised the peak by
+    # 6-8 MB over a warmed-up process
+    growth = [float(mb) for mb in python_output(BLOCK_MEMORY_PROBE).split()]
+    assert len(growth) == 3
+    assert max(growth) <= 2.0, growth
 
 
 # ------------------------------------------------------- conservation
@@ -353,6 +387,12 @@ def test_sweep_rejects_fewer_than_one_job(jobs):
         sweep(cfg(horizon=20), [1], ["UA"], jobs=jobs)
 
 
+@pytest.mark.parametrize("overrides", [dict(repetitions=0), dict(seed=-1), dict(seed=True)])
+def test_sweep_rejects_a_bad_base_before_running(overrides):
+    with pytest.raises(ConfigError):
+        sweep(cfg(horizon=20, **overrides), [1, 2], ["UA", "UC"])
+
+
 def test_sweep_asks_for_no_more_workers_than_tasks(monkeypatch):
     asked = []
 
@@ -370,12 +410,18 @@ def test_sweep_asks_for_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     base = cfg(horizon=20, repetitions=2)
     serial = sweep(base, [1], ["UA", "FA"])
     assert sweep(base, [1], ["UA", "FA"], jobs=64) == serial
     assert sweep(base, [1], ["UA", "FA"], jobs=3) == serial
     assert asked == [4, 3]
+
+
+def test_import_loads_no_process_pool():
+    # only sweep(jobs > 1) needs concurrent.futures and multiprocessing
+    probe = "import sys, salsim; print('concurrent.futures' in sys.modules)"
+    assert python_output(probe).split() == ["False"]
 
 
 def test_sweep_deterministic_and_parallel_equivalent():

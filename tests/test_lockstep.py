@@ -32,6 +32,10 @@ CELLS = [
     ("one loop", dict(n_loops=1), ["UC", "FC", "UA", "FA", "FA+TIS"]),
     ("whole group fits", dict(n_loops=3, tb_capacity=200), ["UA", "FA", "FA+TIS"]),
     ("many loops", dict(n_loops=12, horizon=200, warmup=20), ["UC", "FC", "UA", "FA", "FA+TIS"]),
+    # equal cost tables: every ranking ties, and the lower id must win
+    ("equal plants", dict(a_min=1.1, a_max=1.1), ["UC", "FC", "UA", "FA", "FA+TIS"]),
+    # the measured window starts in the second block, the run ends mid-block
+    ("several blocks", dict(horizon=1300, warmup=600), ["UC", "FC", "UA", "FA", "FA+TIS"]),
 ]
 
 
@@ -147,6 +151,35 @@ def test_lockstep_cell_rejects_configs_that_differ_beyond_the_seed():
     configs[1].loss_prob = 0.5
     with pytest.raises(engine.ConfigError):
         engine.run_cell(configs)
+
+
+def test_lockstep_cell_validates_its_first_config_once(monkeypatch):
+    calls = []
+    validate = SimConfig.validate
+
+    def counted_validate(self):
+        calls.append(self.seed)
+        return validate(self)
+
+    monkeypatch.setattr(engine, "LOCKSTEP_ATOMIC_US", 0.0)
+    monkeypatch.setattr(SimConfig, "validate", counted_validate)
+    configs = [SimConfig(n_loops=2, horizon=50, warmup=0, seed=s) for s in (5, 6, 7, 8)]
+    results = engine.run_cell(configs)
+    monkeypatch.undo()
+    assert calls == [5]
+    assert results == [run(config) for config in configs]
+
+
+@pytest.mark.parametrize("seed", [-1, True])
+def test_lockstep_cell_rejects_a_bad_later_seed(monkeypatch, seed):
+    monkeypatch.setattr(engine, "LOCKSTEP_ATOMIC_US", 0.0)
+    configs = [SimConfig(n_loops=2, horizon=50, warmup=0, seed=s) for s in (1, 2, seed)]
+    assert engine._takes_lockstep(configs)
+    with pytest.raises(engine.ConfigError) as alone:
+        configs[2].validate()
+    with pytest.raises(engine.ConfigError) as in_cell:
+        engine.run_cell(configs)
+    assert str(in_cell.value) == str(alone.value)
 
 
 def mixed_magnitudes(rng, shape):
