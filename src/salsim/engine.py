@@ -13,11 +13,11 @@ Freshness ages and stage costs are therefore measured on the post-update
 state of slot t.
 
 The slot loop is written for throughput: the controller update of slot
-t and the plant step of slot t+1 share one pass over the loops, ingest
-and selection go through the aggregation layer's batch entry points,
-and freshness age totals are integrated from delivery events instead of
-per-slot counters. Deadband semantics follow DeadbandFilter (first
-sample always admits, strict threshold, reference moves only on
+t and the plant step of slot t+1 share one pass over the loops, atomic
+ingest and selection under the staleness-cost policy are mirrored
+inline, and freshness age totals are integrated from delivery events
+instead of per-slot counters. Deadband semantics follow DeadbandFilter
+(first sample always admits, strict threshold, reference moves only on
 admission); the filter is inlined here and pinned to the reference
 implementation by the filtered-vs-unfiltered equivalence tests.
 
@@ -318,11 +318,12 @@ def run(config, erasure_pattern=None, record_traces=False):
 
     # Mirrored data path for the default staleness-cost policy: buffer
     # occupancy, the forward-only delivery anchors and the per-loop cost
-    # tables are tracked inline instead of over the aggregation-layer
-    # and wire-codec objects, whose behavior the mirror reproduces bit
-    # for bit (see the pinned run regressions). Other policies take the
-    # general object path below; compound packets queue in the
-    # aggregation layer whatever the policy.
+    # tables are tracked inline, and one tiered staleness-cost scan ranks
+    # for UA, FA and FA+TIS. The mirror reproduces the aggregation layer's
+    # selection and the PDU byte accounting bit for bit without building
+    # a PDU (see the pinned run regressions). FIFO and ROUND_ROBIN take
+    # the object path below; compound packets queue in the aggregation
+    # layer whatever the policy.
     fast_sal = Policy[config.policy] is Policy.AOI_COST
     handler = reader = None
     if compound_mode or not fast_sal:
@@ -372,6 +373,7 @@ def run(config, erasure_pattern=None, record_traces=False):
 
     entry_size = PDU_ENTRY_OVERHEAD + value_size
     k_fit = (capacity - PDU_HEADER_SIZE) // entry_size
+    down = range(n - 1, -1, -1)
     anchor = [-1] * n
     a2 = [ai * ai for ai in a]
     s2 = [pl.sigma_w2 for pl in plants]
@@ -431,17 +433,18 @@ def run(config, erasure_pattern=None, record_traces=False):
                 )
 
             # ------------------------------------------ publish and transmit
+            # TIS publishes the suppressed samples too; compound has no TIS
+            if filtering:
+                triggered_total += pend
+                published_total += n if tis_on else pend
+            else:
+                triggered_total += n
+                published_total += n
             if compound_mode:
-                if filtering:
-                    triggered_total += pend
-                    if pend:
-                        entries = [(i, x[i]) for i in range(n) if trig[i]]
-                        handler.ingest_compound((t, entries))
-                        published_total += len(entries)
-                else:
-                    triggered_total += n
-                    published_total += n
+                if not filtering:
                     handler.ingest_compound((t, tuple(x)))
+                elif pend:
+                    handler.ingest_compound((t, [(i, x[i]) for i in range(n) if trig[i]]))
                 fresh_packet = False
                 if not frag_left:
                     packet = handler.next_compound()
@@ -486,12 +489,6 @@ def run(config, erasure_pattern=None, record_traces=False):
                                     delivery_log.append((t, i, cur_gen))
             elif fast_sal:
                 # --------------- mirrored ingest / rank / deliver, one pass
-                if filtering:
-                    triggered_total += pend
-                    published_total += n if tis_on else pend
-                else:
-                    triggered_total += n
-                    published_total += n
                 if filtering and not tis_on:
                     for i in range(n):
                         if trig[i]:
@@ -504,13 +501,25 @@ def run(config, erasure_pattern=None, record_traces=False):
                     # count is just the occupancy left by the last selection
                     replaced_local += occupied
                     occupied = n
-                # rank by staleness cost, scanning ids downward so the
-                # lower id wins cost ties by displacing its equal; the
-                # scan variants only differ in candidate admission
+                # rank by staleness cost over tiers of candidates into one
+                # shortlist, each tier behind the earlier ones: all loops
+                # (UA), loops with a buffered sample (FA), or admitted then
+                # suppressed loops (FA+TIS). Ids go downward, so the lower
+                # id wins a cost tie by displacing its equal; as that order
+                # is total, a capped shortlist is the top of the full ranking
+                if not filtering:
+                    tiers = (down,)
+                elif not tis_on:
+                    tiers = ([i for i in down if buf_gen[i] >= 0],)
+                else:
+                    tiers = ([i for i in down if trig[i]], [i for i in down if not trig[i]])
                 top_cost = []
                 top_id = []
-                if not filtering:
-                    for i in range(n - 1, -1, -1):
+                for tier in tiers:
+                    first = len(top_id)
+                    if first == k_fit:
+                        break
+                    for i in tier:
                         delta = t - anchor[i]
                         tab = g_tab[i]
                         if delta < len(tab):
@@ -529,75 +538,11 @@ def run(config, erasure_pattern=None, record_traces=False):
                             top_cost.pop()
                             top_id.pop()
                             held -= 1
-                        pos = 0
+                        pos = first
                         while pos < held and top_cost[pos] > cost:
                             pos += 1
                         top_cost.insert(pos, cost)
                         top_id.insert(pos, i)
-                elif not tis_on:
-                    for i in range(n - 1, -1, -1):
-                        if buf_gen[i] < 0:
-                            continue
-                        delta = t - anchor[i]
-                        tab = g_tab[i]
-                        if delta < len(tab):
-                            cost = tab[delta]
-                        else:
-                            cost = tab[-1]
-                            ai2 = a2[i]
-                            si2 = s2[i]
-                            for _ in range(len(tab), delta + 1):
-                                cost = ai2 * cost + si2
-                                tab.append(cost)
-                        held = len(top_cost)
-                        if held == k_fit:
-                            if cost < top_cost[-1]:
-                                continue
-                            top_cost.pop()
-                            top_id.pop()
-                            held -= 1
-                        pos = 0
-                        while pos < held and top_cost[pos] > cost:
-                            pos += 1
-                        top_cost.insert(pos, cost)
-                        top_id.insert(pos, i)
-                else:
-                    sup_cost = []
-                    sup_id = []
-                    adm_total = 0
-                    for i in range(n - 1, -1, -1):
-                        if trig[i]:
-                            adm_total += 1
-                            costs = top_cost
-                            ids = top_id
-                        else:
-                            costs = sup_cost
-                            ids = sup_id
-                        delta = t - anchor[i]
-                        tab = g_tab[i]
-                        if delta < len(tab):
-                            cost = tab[delta]
-                        else:
-                            cost = tab[-1]
-                            ai2 = a2[i]
-                            si2 = s2[i]
-                            for _ in range(len(tab), delta + 1):
-                                cost = ai2 * cost + si2
-                                tab.append(cost)
-                        held = len(costs)
-                        if held == k_fit:
-                            if cost < costs[-1]:
-                                continue
-                            costs.pop()
-                            ids.pop()
-                            held -= 1
-                        pos = 0
-                        while pos < held and costs[pos] > cost:
-                            pos += 1
-                        costs.insert(pos, cost)
-                        ids.insert(pos, i)
-                    if adm_total < k_fit and sup_id:
-                        top_id = top_id + sup_id[: k_fit - adm_total]
                 if top_id:
                     blocks += 1
                     pad_total += capacity - PDU_HEADER_SIZE - len(top_id) * entry_size
@@ -625,12 +570,8 @@ def run(config, erasure_pattern=None, record_traces=False):
                                     delivery_log.append((t, i, t))
             else:
                 if filtering:
-                    triggered_total += pend
-                    published_total += n if tis_on else pend
                     ingest_flagged(t, x, value_size, trig, tis_on)
                 else:
-                    triggered_total += n
-                    published_total += n
                     ingest_fresh_all(t, x, value_size)
                 picked = select_uniform(capacity, t, value_size)
                 if picked:
@@ -873,8 +814,12 @@ def sweep(base, n_values, strategy_tokens, jobs=1):
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    sizes = list(n_values)
+    bad = [v for v in sizes if type(v) is not int]  # bools are ints too
+    if bad:
+        raise ConfigError(f"loop counts must be integers, got {bad[0]!r}")
+    sizes = sorted(set(sizes))
     try:
-        sizes = sorted({int(v) for v in n_values})
         labels = _canonical_tokens(strategy_tokens, base.tis)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -201,9 +201,11 @@ class _Link:
     step() runs slot t's ingest, selection and transmission. It returns
     None when nothing arrives, else (mask, values, ages): the delivered
     (run, loop) pairs, their estimates replayed to slot t, and their
-    ages. replay() moves held samples on by one estimator step.
-    end_block() adds a block's measured slots to `counts`: blocks,
-    padding bytes, delivered entries and discards, per run.
+    ages. replay() moves held samples on by one estimator step. Each
+    subclass defines begin_block(), which sizes a block's per-slot
+    records, and end_block(), which adds the block's measured slots to
+    `counts`: blocks, padding bytes, delivered entries and discards, per
+    run.
     """
 
     def __init__(self, first, runs):
@@ -214,15 +216,9 @@ class _Link:
         self.run_ids = np.arange(runs)
         self.counts = np.zeros((4, runs), dtype=np.int64)
 
-    def begin_block(self, rows, age):
-        pass
-
     def replay(self, a, bu):
         self.shadow *= a
         self.shadow += bu
-
-    def end_block(self, window, arrives):
-        pass
 
 
 class _Atomic(_Link):

@@ -387,10 +387,23 @@ def test_sweep_rejects_fewer_than_one_job(jobs):
         sweep(cfg(horizon=20), [1], ["UA"], jobs=jobs)
 
 
-@pytest.mark.parametrize("overrides", [dict(repetitions=0), dict(seed=-1), dict(seed=True)])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(repetitions=0),
+        dict(seed=-1),
+        dict(seed=True),
+        # loop counts must be exact ints, as SimConfig.n_loops must
+        pytest.param(dict(n_values=[5.7, True]), id="float and bool loop counts"),
+        pytest.param(dict(n_values=[2, 3.0]), id="integral float loop count"),
+        pytest.param(dict(n_values=["2"]), id="string loop count"),
+    ],
+)
 def test_sweep_rejects_a_bad_base_before_running(overrides):
+    fields = dict(horizon=20, **overrides)
+    n_values = fields.pop("n_values", [1, 2])
     with pytest.raises(ConfigError):
-        sweep(cfg(horizon=20, **overrides), [1, 2], ["UA", "UC"])
+        sweep(cfg(**fields), n_values, ["UA", "UC"])
 
 
 def test_sweep_asks_for_no_more_workers_than_tasks(monkeypatch):

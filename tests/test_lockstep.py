@@ -36,6 +36,13 @@ CELLS = [
     ("equal plants", dict(a_min=1.1, a_max=1.1), ["UC", "FC", "UA", "FA", "FA+TIS"]),
     # the measured window starts in the second block, the run ends mid-block
     ("several blocks", dict(horizon=1300, warmup=600), ["UC", "FC", "UA", "FA", "FA+TIS"]),
+    # three entries per block among seven loops: inserts land mid-shortlist
+    ("three per block", dict(n_loops=7, tb_capacity=92), ["UA", "FA", "FA+TIS"]),
+    (
+        "three per block, equal plants",
+        dict(n_loops=7, tb_capacity=92, a_min=1.1, a_max=1.1),
+        ["UA", "FA", "FA+TIS"],
+    ),
 ]
 
 
