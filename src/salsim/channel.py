@@ -10,7 +10,6 @@ u16, fragment index u8, fragment total u8, chunk length u16, big-endian).
 Reassembly is all-or-nothing: one erased fragment voids the packet.
 """
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -54,10 +53,21 @@ class ErasureChannel:
         return draw >= self.loss_prob
 
 
+def fragment_layout(packet_len, tb_capacity):
+    """Fragment count of a packet and the padding of its last block.
+
+    packet_len is a byte count or a numpy array of them, for which both
+    results come back as arrays.
+    """
+    chunk_size = tb_capacity - FRAGMENT_HEADER_SIZE
+    total = -(-packet_len // chunk_size)
+    return total, total * chunk_size - packet_len
+
+
 def fragment_packet(packet, tb_capacity, packet_id):
     """Split a packet into framed fragments of at most tb_capacity bytes."""
     chunk_size = tb_capacity - FRAGMENT_HEADER_SIZE
-    total = max(1, math.ceil(len(packet) / chunk_size))
+    total = max(1, fragment_layout(len(packet), tb_capacity)[0])
     if total > 255:
         raise FragmentError(f"packet needs {total} fragments, limit is 255")
     pack = _FRAG_HEADER.pack

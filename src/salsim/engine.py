@@ -54,7 +54,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import FRAGMENT_HEADER_SIZE, LinkConfig
+from .channel import FRAGMENT_HEADER_SIZE, LinkConfig, fragment_layout
 from .lockstep import BLOCK, PairwiseFold, RunTotals, link_stream_state, run_lockstep
 from .mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE, Mdu
 from .plant import PlantParams, RiccatiError, solve_riccati
@@ -69,30 +69,16 @@ from .publisher import (
 )
 from .sal import DataHandler, DataReader, Policy, SessionHandler, compose_pdu
 
-ATOMIC_MIN_CAPACITY_SLACK = 10  # PDU header plus one entry header
-
 # Fixed numpy cost per slot of a lockstep pass, in microseconds on a
 # 2-vCPU Xeon, for compound (UC, FC) and atomic (UA, FA) strategies
 LOCKSTEP_COMPOUND_US = 75.0
 LOCKSTEP_ATOMIC_US = 40.0
 
-_INT_FIELDS = (
-    "n_loops",
-    "horizon",
-    "warmup",
-    "repetitions",
-    "seed",
-    "tb_capacity",
-    "payload_size",
-    "compound_maxlen",
-)
-_FINITE_FIELDS = ("deadband", "sigma_w2", "q", "r", "a_min", "a_max", "slot_duration_ms")
-_int_values = operator.attrgetter(*_INT_FIELDS)
-_finite_values = operator.attrgetter(*_FINITE_FIELDS)
-
-
 class ConfigError(Exception):
     """Raised for unusable simulation parameters."""
+
+
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
 
 
 def _not_finite(value):
@@ -163,16 +149,21 @@ class SimConfig:
 
     def validate(self):
         # one C-level pass per group keeps this cheap for short runs
-        ints = _int_values(self)
-        if set(map(type, ints)) != {int}:  # bools are ints too
-            _reject(_INT_FIELDS, ints, lambda v: type(v) is not int, "an integer")
-        floats = _finite_values(self)
+        exact = _exact_values(self)
+        if list(map(type, exact)) != _EXACT_TYPES:  # bools are ints too
+            name, value, kind = next(
+                (n, v, k)
+                for n, v, k in zip(_EXACT_FIELDS, exact, _EXACT_TYPES)
+                if type(v) is not k
+            )
+            raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        floats = _float_values(self)
         try:
             finite = all(map(math.isfinite, floats))
         except TypeError:  # not a number at all
             finite = False
         if not finite:
-            _reject(_FINITE_FIELDS, floats, _not_finite, "a finite number")
+            _reject(_FLOAT_FIELDS, floats, _not_finite, "a finite number")
         if self.n_loops < 1:
             raise ConfigError(f"n_loops must be a positive integer, got {self.n_loops}")
         if self.horizon < 1:
@@ -193,7 +184,7 @@ class SimConfig:
             raise ConfigError(f"compound_maxlen must be positive, got {self.compound_maxlen}")
         strat = self.resolved_strategy()
         if not strat.compound:
-            atomic_min = ATOMIC_MIN_CAPACITY_SLACK + self.payload_size
+            atomic_min = PDU_HEADER_SIZE + PDU_ENTRY_OVERHEAD + self.payload_size
             if self.tb_capacity < atomic_min:
                 raise ConfigError(
                     f"tb_capacity {self.tb_capacity} cannot carry one "
@@ -206,8 +197,10 @@ class SimConfig:
                     f"n_loops={self.n_loops} cannot fit"
                 )
             packed = 1 + self.n_loops * (PDU_ENTRY_OVERHEAD + self.payload_size)
-            chunk = self.tb_capacity - FRAGMENT_HEADER_SIZE
-            if chunk > 0 and -(-packed // chunk) > 255:
+            if (
+                self.tb_capacity > FRAGMENT_HEADER_SIZE
+                and fragment_layout(packed, self.tb_capacity)[0] > 255
+            ):
                 raise ConfigError(
                     f"a full compound packet of {packed} bytes needs more "
                     f"than 255 fragments at tb_capacity {self.tb_capacity}"
@@ -229,6 +222,16 @@ class SimConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return self
+
+
+# validate() checks each field against its annotation: int, bool and str
+# fields by exact type (a list compares fastest), float fields as finite
+# numbers, ints among them
+_EXACT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type in _TYPE_NAMES]
+_EXACT_TYPES = [f.type for f in dataclasses.fields(SimConfig) if f.type in _TYPE_NAMES]
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type is float]
+_exact_values = operator.attrgetter(*_EXACT_FIELDS)
+_float_values = operator.attrgetter(*_FLOAT_FIELDS)
 
 
 @dataclass
@@ -384,10 +387,10 @@ def run(config, erasure_pattern=None, record_traces=False):
     replaced_local = 0
 
     # compound pipeline state: the packet currently on the wire, its
-    # remaining fragment budget and whether every fragment so far arrived
-    frag_chunk = capacity - FRAGMENT_HEADER_SIZE
+    # remaining fragment budget, the padding of its last fragment and
+    # whether every fragment so far arrived
     frag_left = 0
-    last_len = 0
+    last_pad = 0
     cur_gen = 0
     cur_vals = ()
     cur_ok = False
@@ -450,13 +453,8 @@ def run(config, erasure_pattern=None, record_traces=False):
                     packet = handler.next_compound()
                     if packet is not None:
                         cur_gen, cur_vals = packet
-                        count = len(cur_vals)
-                        packed_len = 1 + count * entry_size
-                        frag_left = -(-packed_len // frag_chunk)
-                        last_len = (
-                            FRAGMENT_HEADER_SIZE
-                            + packed_len
-                            - (frag_left - 1) * frag_chunk
+                        frag_left, last_pad = fragment_layout(
+                            1 + len(cur_vals) * entry_size, capacity
                         )
                         cur_ok = True
                         fresh_packet = True
@@ -464,7 +462,7 @@ def run(config, erasure_pattern=None, record_traces=False):
                     blocks += 1
                     frag_left -= 1
                     if not frag_left:
-                        pad_total += capacity - last_len
+                        pad_total += last_pad
                     ok = arrives[j]
                     if per_packet:
                         if fresh_packet:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import FRAGMENT_HEADER_SIZE
+from .channel import fragment_layout
 from .mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE
 from .plant import solve_riccati
 
@@ -311,14 +311,6 @@ def _take_top(cost, k, run_ids):
         cost[run_ids, cost.argmax(axis=1)] = -np.inf
 
 
-def _fragments(first, entries):
-    """Fragments and padding bytes of the last one, for a packet of `entries`."""
-    chunk = first.tb_capacity - FRAGMENT_HEADER_SIZE
-    packed = 1 + entries * (PDU_ENTRY_OVERHEAD + first.payload_size)
-    count = -(-packed // chunk)
-    return count, first.tb_capacity - (FRAGMENT_HEADER_SIZE + packed - (count - 1) * chunk)
-
-
 class _Compound(_Link):
     """UC and FC: each run queues a packet of its admitted loops when any admits.
 
@@ -332,7 +324,8 @@ class _Compound(_Link):
         n = self.n
         self.maxlen = first.compound_maxlen
         self.per_packet = first.per_packet_loss
-        self.frag_count, self.frag_pad = _fragments(first, np.arange(n + 1))
+        packed = 1 + np.arange(n + 1) * self.entry_size
+        self.frag_count, self.frag_pad = fragment_layout(packed, first.tb_capacity)
         self.ring = ring = self.maxlen + int(self.frag_count[n])
         self.shadow = np.zeros((ring, runs, n))
         self.q_gen = np.zeros((ring, runs), dtype=np.int64)

@@ -10,7 +10,6 @@ subscribers and acknowledges every entry it saw.
 
 from collections import deque
 from enum import Enum
-from heapq import nsmallest
 from typing import NamedTuple
 
 from .mdu import (
@@ -39,10 +38,6 @@ class Policy(Enum):
 class AckMessage(NamedTuple):
     mdu_id: int
     gen_time: int
-
-
-class PullRequest(NamedTuple):
-    mdu_id: int
 
 
 class Buffered(NamedTuple):
@@ -131,7 +126,6 @@ class DataHandler:
         self._admitted = [False] * n
         self._seq = [0] * n
         self._anchor = [-1] * n
-        self._pulled = set()
         self._queue = deque()
         self._compound_maxlen = compound_maxlen
         self._counter = 0
@@ -146,8 +140,8 @@ class DataHandler:
             # staleness cost tables, grown on demand via
             # g(d+1) = a^2 g(d) + sigma_w2
             self._g_tables = [[0.0] for _ in range(n)]
-        else:
-            self._a2 = None
+        elif policy is Policy.AOI_COST:
+            raise ValueError("the AOI_COST policy needs one (a, sigma_w2) pair per id")
 
     # ---------------------------------------------------------- ingest
 
@@ -259,11 +253,6 @@ class DataHandler:
         if ack.gen_time > self._anchor[ack.mdu_id]:
             self._anchor[ack.mdu_id] = ack.gen_time
 
-    def handle_pull(self, pull):
-        # the pull outranks everything at the next selection that finds
-        # the id buffered; it is consumed by selecting the id
-        self._pulled.add(pull.mdu_id)
-
     def priority(self, mdu_id, now):
         if self.policy is not Policy.AOI_COST:
             raise ValueError("priority is defined for the AOI_COST policy only")
@@ -286,37 +275,26 @@ class DataHandler:
     # ------------------------------------------------------- selection
 
     def _candidates(self, now):
-        """Rank occupied buffers; id sits last in each tuple."""
+        """Occupied ids in selection order; the sort-based reference ranking.
+
+        Admitted ids come first, then (with transmit-if-space) suppressed
+        ones, each tier ordered by the policy's key with the lower id
+        breaking ties.
+        """
         gen = self._gen
         admitted = self._admitted
-        tis = self.tis_enabled
-        pulled = self._pulled
-        candidates = []
         if self.policy is Policy.AOI_COST:
             anchor = self._anchor
-            cost = self._staleness_cost
-            for i in range(len(gen)):
-                if gen[i] < 0 or not (admitted[i] or tis):
-                    continue
-                tier = 2 if i in pulled else (1 if admitted[i] else 0)
-                candidates.append((-tier, -cost(i, now - anchor[i]), i))
+            key = lambda i: -self._staleness_cost(i, now - anchor[i])
         elif self.policy is Policy.FIFO:
-            seq = self._seq
-            for i in range(len(gen)):
-                if gen[i] < 0 or not (admitted[i] or tis):
-                    continue
-                tier = 2 if i in pulled else (1 if admitted[i] else 0)
-                candidates.append((-tier, seq[i], i))
+            key = self._seq.__getitem__
         else:
-            n = len(gen)
             start = self._rr_next
-            for i in range(n):
-                if gen[i] < 0 or not (admitted[i] or tis):
-                    continue
-                tier = 2 if i in pulled else (1 if admitted[i] else 0)
-                candidates.append((-tier, (i - start) % n, i))
-        candidates.sort()
-        return candidates
+            key = lambda i: (i - start) % len(gen)
+        return sorted(
+            (i for i in range(len(gen)) if gen[i] >= 0 and (admitted[i] or self.tis_enabled)),
+            key=lambda i: (not admitted[i], key(i), i),
+        )
 
     def _take(self, mdu_id):
         entry = Buffered(
@@ -328,24 +306,22 @@ class DataHandler:
         )
         self._gen[mdu_id] = -1
         self._payload[mdu_id] = None
-        self._pulled.discard(mdu_id)
         return entry
 
     def select(self, capacity, now):
         """Fill one transport block, most urgent first.
 
-        Candidates are the occupied buffers, pulled ids topmost, then
-        application-admitted entries, then (with transmit-if-space)
-        suppressed ones; within a tier the configured policy orders by
-        falling staleness cost, arrival order, or round robin, with the
-        lower id breaking ties. Entries that no longer fit the remaining
-        space are skipped. Selected entries leave their buffers.
+        Candidates are the occupied buffers, application-admitted entries
+        first, then (with transmit-if-space) suppressed ones; within a
+        tier the configured policy orders by falling staleness cost,
+        arrival order, or round robin, with the lower id breaking ties.
+        Entries that no longer fit the remaining space are skipped.
+        Selected entries leave their buffers.
         """
         size = PDU_HEADER_SIZE
         picked = []
         plen = self._plen
-        for cand in self._candidates(now):
-            i = cand[-1]
+        for i in self._candidates(now):
             entry = PDU_ENTRY_OVERHEAD + plen[i]
             if size + entry > capacity:
                 continue
@@ -359,39 +335,28 @@ class DataHandler:
         """select() specialized to a single shared payload length.
 
         With equal-size entries the skip-fill scan degenerates to
-        taking the top k of the ranking. With no id pulled, one pass
-        over the ids finds them: AOI_COST and FIFO keep a running top-k
+        taking the top k of the ranking, and one pass over the ids finds
+        them without sorting: AOI_COST and FIFO keep a running top-k
         shortlist per tier over one key per id (falling staleness cost,
         arrival order), and ROUND_ROBIN walks the ids cyclically from
-        its cursor until k admitted ids are found. Pulled ids fall back
-        to ranking every candidate. Returns exactly what select() would.
+        its cursor until k admitted ids are found. Returns exactly what
+        select() would.
         """
         k = (capacity - PDU_HEADER_SIZE) // (PDU_ENTRY_OVERHEAD + entry_len)
         if k <= 0:
             return []
-        gen = self._gen
-        if self._pulled:
-            candidates = self._candidates(now)
-            if len(candidates) > k:
-                candidates = nsmallest(k, candidates)
-            else:
-                candidates.sort()
-            order = [cand[-1] for cand in candidates]
-            picked = [self._take(i) for i in order]
+        if self.policy is Policy.ROUND_ROBIN:
+            order = self._round_robin_order(k)
         else:
-            if self.policy is Policy.ROUND_ROBIN:
-                order = self._round_robin_order(k)
-            else:
-                order = self._top_k_order(k, now)
-            payload = self._payload
-            plen = self._plen
-            admitted = self._admitted
-            picked = [
-                Buffered(i, gen[i], payload[i], plen[i], admitted[i]) for i in order
-            ]
-            for i in order:
-                gen[i] = -1
-                payload[i] = None
+            order = self._top_k_order(k, now)
+        gen = self._gen
+        payload = self._payload
+        plen = self._plen
+        admitted = self._admitted
+        picked = [Buffered(i, gen[i], payload[i], plen[i], admitted[i]) for i in order]
+        for i in order:
+            gen[i] = -1
+            payload[i] = None
         if order and self.policy is Policy.ROUND_ROBIN:
             self._rr_next = (order[-1] + 1) % len(gen)
         return picked
@@ -515,7 +480,3 @@ class DataReader:
             else:
                 self.unsubscribed_drops += 1
         return deliveries, acks
-
-    def pull(self, mdu_id):
-        self.session._check_id(mdu_id)
-        return PullRequest(mdu_id)

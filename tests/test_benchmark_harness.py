@@ -4,16 +4,24 @@ benchmarks/run.py --self-check traces five small runs and checks which
 layers each one calls (no aggregation-layer calls on the mirrored
 AOI_COST path, the value codec and DataReader on FIFO/ROUND_ROBIN,
 compound ingest on UC) and that tracing leaves every result unchanged.
-A change under src/ that breaks the wiring the tracer patches fails
-here, not only when the benchmark runs.
+A change under src/ that breaks the wiring the tracer patches, or an
+output that benchmarks/micro.py checks, fails here, not only when the
+benchmark runs.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-RUN_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
+import salsim.channel
+import salsim.mdu
+import salsim.publisher
+import salsim.sal
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+RUN_PY = BENCHMARKS / "run.py"
 
 
 def test_benchmark_self_check_passes():
@@ -25,3 +33,14 @@ def test_benchmark_self_check_passes():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["self_check"] == "ok"
+
+
+def test_micro_benchmark_outputs_match_their_checks():
+    # select_uniform against select(), the PDU and fragment codec round
+    # trips and the deadband filter, as the traced benchmark checks them
+    spec = importlib.util.spec_from_file_location("micro", BENCHMARKS / "micro.py")
+    micro = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(micro)
+    checks = micro.run_all(salsim, seed=0)
+    assert len(checks) == 5
+    assert [name for name, (_us, ok) in checks.items() if not ok] == []

@@ -15,6 +15,7 @@ from salsim.channel import (
     FragmentError,
     LinkConfig,
     Reassembler,
+    fragment_layout,
     fragment_packet,
     parse_fragment,
 )
@@ -89,6 +90,18 @@ def test_fragment_layout_and_parse_roundtrip():
     pid, idx, total, chunk = parse_fragment(frags[1])
     assert (pid, idx, total) == (513, 1, 2)
     assert chunk == packet[58:]
+
+
+def test_fragment_sizes_match_the_framed_fragments():
+    # scalar and array forms agree with what fragment_packet emits
+    lengths = np.arange(1, 256)
+    for capacity in (7, 30, 64):
+        counts, pads = fragment_layout(lengths, capacity)
+        for length, count, pad in zip(lengths.tolist(), counts.tolist(), pads.tolist()):
+            frags = fragment_packet(bytes(length), capacity, 0)
+            assert fragment_layout(length, capacity) == (count, pad)
+            assert len(frags) == count
+            assert capacity - len(frags[-1]) == pad
 
 
 def test_fragment_rejects_oversized_packets():

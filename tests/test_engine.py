@@ -19,6 +19,7 @@ import salsim
 import salsim.engine as engine
 from salsim.engine import ConfigError, SimConfig, run, summarize, sweep
 from salsim.plant import PlantParams, solve_riccati
+from salsim.sal import Policy
 
 
 def cfg(**kw):
@@ -512,6 +513,8 @@ INF = float("inf")
         ("a_max", NAN),
         ("slot_duration_ms", INF),
         ("deadband", "0.5"),
+        ("loss_prob", "0.1"),
+        ("loss_prob", NAN),
     ],
 )
 def test_config_rejects_non_finite_numbers(field, value):
@@ -530,10 +533,25 @@ def test_config_rejects_non_finite_numbers(field, value):
         ("tb_capacity", 64.0),
         ("payload_size", "20"),
         ("compound_maxlen", True),
+        ("horizon", None),
     ],
 )
 def test_config_integer_fields_reject_bools_and_floats(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        cfg(**{field: value}).validate()
+
+
+@pytest.mark.parametrize(
+    "field,value,what",
+    [
+        ("tis", 1, "true or false"),
+        ("per_packet_loss", "no", "true or false"),
+        ("strategy", None, "a string"),
+        ("policy", Policy.FIFO, "a string"),
+    ],
+)
+def test_config_bool_and_str_fields_reject_other_types(field, value, what):
+    with pytest.raises(ConfigError, match=f"{field} must be {what}"):
         cfg(**{field: value}).validate()
 
 

@@ -16,7 +16,6 @@ from salsim.sal import (
     DataHandler,
     DataReader,
     Policy,
-    PullRequest,
     SessionHandler,
     UnknownMdu,
     compose_pdu,
@@ -147,6 +146,13 @@ def test_priority_of_empty_buffer_is_minus_infinity():
     assert dh.priority(0, 4) == float("-inf")
 
 
+def test_staleness_policy_requires_gains():
+    with pytest.raises(ValueError, match="AOI_COST"):
+        DataHandler(make_session(2))
+    with pytest.raises(ValueError, match="one .* pair per registered id"):
+        DataHandler(make_session(2), gains=unit_gains(1))
+
+
 def test_priority_requires_staleness_policy():
     dh = DataHandler(make_session(1), policy=Policy.FIFO)
     dh.ingest(0, 0, bytes(20))
@@ -204,43 +210,6 @@ def test_select_skips_entries_that_do_not_fit():
     sel = dh.select(30, now=0)
     assert [b.mdu_id for b in sel] == [1]
     assert dh.occupant(0) is not None
-
-
-def test_pull_moves_id_to_front_once():
-    dh = DataHandler(make_session(2), gains=unit_gains(2))
-    dh.ingest(0, 0, bytes(20))
-    dh.ingest(1, 0, bytes(20))
-    dh.handle_pull(PullRequest(1))
-    sel = dh.select(30, now=0)  # room for a single entry
-    assert [b.mdu_id for b in sel] == [1]
-    # the pull was consumed by that selection
-    dh.ingest(0, 1, bytes(20))
-    dh.ingest(1, 1, bytes(20))
-    sel = dh.select(30, now=1)
-    assert [b.mdu_id for b in sel] == [0]
-
-
-def test_pull_of_unbuffered_id_waits_for_ingest():
-    dh = DataHandler(make_session(2), gains=unit_gains(2))
-    dh.ingest(0, 0, bytes(20))
-    dh.handle_pull(PullRequest(1))
-    sel = dh.select(30, now=0)
-    assert [b.mdu_id for b in sel] == [0]  # nothing buffered for id 1 yet
-    dh.ingest(0, 1, bytes(20))
-    dh.ingest(1, 1, bytes(20))
-    sel = dh.select(30, now=1)
-    assert [b.mdu_id for b in sel] == [1]  # the pull survived until ingest
-
-
-def test_two_pulls_tie_break_by_id():
-    dh = DataHandler(make_session(3), gains=unit_gains(3))
-    for i in range(3):
-        dh.ingest(i, 0, bytes(20))
-    dh.handle_ack(AckMessage(2, 0))
-    dh.handle_pull(PullRequest(2))
-    dh.handle_pull(PullRequest(1))
-    sel = dh.select(64, now=0)
-    assert [b.mdu_id for b in sel] == [1, 2]
 
 
 def test_suppressed_entries_only_fill_when_tis_enabled():
@@ -344,8 +313,8 @@ def test_flagged_ingest_matches_filtered_calls():
 
 
 def test_select_uniform_matches_select():
-    # up to 24 ids and 6 entries per block; stale-generation ingests,
-    # pulls and lost acks; enough slots for the round-robin cursor to wrap
+    # up to 24 ids and 6 entries per block; stale-generation ingests and
+    # lost acks; enough slots for the round-robin cursor to wrap
     rng = random.Random(2026)
     policies = [Policy.AOI_COST, Policy.FIFO, Policy.ROUND_ROBIN]
     wraps = stale = 0
@@ -364,10 +333,6 @@ def test_select_uniform_matches_select():
                     admitted = rng.random() < 0.7
                     for dh in (one, two):
                         dh.ingest(i, gen, bytes(20), admitted=admitted)
-            for _ in range(rng.choice([0, 0, 0, 0, 0, 1, 2])):
-                target = rng.randrange(n)
-                one.handle_pull(PullRequest(target))
-                two.handle_pull(PullRequest(target))
             k = rng.randrange(0, 7)
             capacity = rng.choice([8, 29, 2 + 28 * k, 2 + 28 * k + rng.randrange(1, 28)])
             cursor = two._rr_next
@@ -396,7 +361,7 @@ def test_round_robin_selection_wraps_past_the_last_id():
 
 @pytest.mark.parametrize("tis", [False, True])
 @pytest.mark.parametrize("policy", list(Policy))
-def test_select_uniform_ranks_without_candidate_tuples_unless_pulled(monkeypatch, policy, tis):
+def test_select_uniform_ranks_without_candidate_tuples(monkeypatch, policy, tis):
     def refuse(self, now):
         raise AssertionError("ranked candidate tuples")
 
@@ -410,10 +375,6 @@ def test_select_uniform_ranks_without_candidate_tuples_unless_pulled(monkeypatch
                 dh.ingest(i, slot, bytes(20), admitted=rng.random() < 0.6)
         picked += len(dh.select_uniform(92, slot, 20))
     assert picked > 40
-    dh.ingest(0, 40, bytes(20))
-    dh.handle_pull(PullRequest(0))
-    with pytest.raises(AssertionError, match="candidate tuples"):
-        dh.select_uniform(92, 40, 20)
 
 
 def test_select_uniform_zero_fit_leaves_state_alone():
@@ -497,15 +458,6 @@ def test_process_rejects_unregistered_id():
     reader = DataReader(sh)
     with pytest.raises(UnknownMdu):
         reader.process(SalPdu([Mdu(9, 0, b"")], 0), now=0)
-
-
-def test_reader_pull():
-    sh = SessionHandler()
-    sh.register("a")
-    reader = DataReader(sh)
-    assert reader.pull(0) == PullRequest(0)
-    with pytest.raises(UnknownMdu):
-        reader.pull(3)
 
 
 # ------------------------------------------------------------ integration
