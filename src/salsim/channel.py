@@ -11,7 +11,6 @@ Reassembly is all-or-nothing: one erased fragment voids the packet.
 """
 
 import struct
-from dataclasses import dataclass
 
 FRAGMENT_HEADER_SIZE = 6
 
@@ -20,26 +19,6 @@ _FRAG_HEADER = struct.Struct(">HBBH")
 
 class FragmentError(Exception):
     """Raised for unfragmentable packets or undecodable fragments."""
-
-
-@dataclass
-class LinkConfig:
-    slot_duration_ms: float = 10.0
-    tb_capacity: int = 64
-    loss_prob: float = 0.10
-    per_packet_loss: bool = False
-
-    def validate(self):
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValueError(f"loss_prob must lie in [0, 1], got {self.loss_prob}")
-        if self.tb_capacity <= FRAGMENT_HEADER_SIZE:
-            raise ValueError(
-                f"tb_capacity must exceed the {FRAGMENT_HEADER_SIZE} byte "
-                f"fragment header, got {self.tb_capacity}"
-            )
-        if self.slot_duration_ms <= 0.0:
-            raise ValueError("slot_duration_ms must be positive")
-        return self
 
 
 class ErasureChannel:

@@ -23,7 +23,8 @@ implementation by the filtered-vs-unfiltered equivalence tests.
 
 A run holds the same memory whatever its horizon. Slots go by in the
 lockstep engine's blocks of lockstep.BLOCK (512): each block draws its
-plant noise and link uniforms as Python floats, and at its end folds its
+plant noise and link uniforms as Python floats, from the generators
+lockstep.seed_streams hands both engines, and at its end folds its
 states and inputs into the stage-cost sums (lockstep.PairwiseFold, bit
 for bit numpy's sum over the whole window). Each loop's input history
 reaches back only to the oldest sample that a buffer, the compound queue
@@ -54,10 +55,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import FRAGMENT_HEADER_SIZE, LinkConfig, fragment_layout
-from .lockstep import BLOCK, PairwiseFold, RunTotals, link_stream_state, run_lockstep
+from .channel import FRAGMENT_HEADER_SIZE, fragment_layout
+from .lockstep import BLOCK, PairwiseFold, RunTotals, run_lockstep, seed_streams
 from .mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE, Mdu
-from .plant import PlantParams, RiccatiError, solve_riccati
+from .plant import PlantParams, RiccatiError, solve_riccati, staleness_cost
 from .publisher import (
     STRATEGY_ORDER,
     Strategy,
@@ -82,7 +83,7 @@ _TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
 
 
 def _not_finite(value):
-    return not isinstance(value, (int, float)) or not math.isfinite(value)
+    return type(value) is bool or not isinstance(value, (int, float)) or not math.isfinite(value)
 
 
 def _reject(names, values, bad, what):
@@ -109,7 +110,6 @@ class SimConfig:
     policy: str = "AOI_COST"
     warmup: int = 1_000
     payload_size: int = 20
-    slot_duration_ms: float = 10.0
     per_packet_loss: bool = False
     compound_maxlen: int = 8
     plants: Optional[list] = None
@@ -126,14 +126,6 @@ class SimConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return strat
-
-    def link(self):
-        return LinkConfig(
-            slot_duration_ms=self.slot_duration_ms,
-            tb_capacity=self.tb_capacity,
-            loss_prob=self.loss_prob,
-            per_packet_loss=self.per_packet_loss,
-        )
 
     def make_plants(self):
         if self.plants is not None:
@@ -158,8 +150,8 @@ class SimConfig:
             )
             raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
         floats = _float_values(self)
-        try:
-            finite = all(map(math.isfinite, floats))
+        try:  # math.isfinite takes bools as the ints they are
+            finite = all(map(math.isfinite, floats)) and bool not in map(type, floats)
         except TypeError:  # not a number at all
             finite = False
         if not finite:
@@ -207,10 +199,13 @@ class SimConfig:
                 )
         if self.policy not in Policy.__members__:
             raise ConfigError(f"unknown selection policy {self.policy!r}")
-        try:
-            self.link().validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        if not 0.0 <= self.loss_prob <= 1.0:
+            raise ConfigError(f"loss_prob must lie in [0, 1], got {self.loss_prob}")
+        if self.tb_capacity <= FRAGMENT_HEADER_SIZE:
+            raise ConfigError(
+                f"tb_capacity must exceed the {FRAGMENT_HEADER_SIZE} byte "
+                f"fragment header, got {self.tb_capacity}"
+            )
         if self.plants is not None and len(self.plants) != self.n_loops:
             raise ConfigError(
                 f"{len(self.plants)} plants supplied for n_loops={self.n_loops}"
@@ -226,7 +221,7 @@ class SimConfig:
 
 # validate() checks each field against its annotation: int, bool and str
 # fields by exact type (a list compares fastest), float fields as finite
-# numbers, ints among them
+# numbers, ints among them but not bools
 _EXACT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type in _TYPE_NAMES]
 _EXACT_TYPES = [f.type for f in dataclasses.fields(SimConfig) if f.type in _TYPE_NAMES]
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type is float]
@@ -298,21 +293,15 @@ def run(config, erasure_pattern=None, record_traces=False):
     # feeds the loop-fused plant step past the horizon), then one uniform
     # per slot, so compared strategies share realizations. Slots go by
     # in blocks: the block of slots s..e-1 holds noise rows s+1..e and
-    # the uniforms of its slots. A run of one block draws both from one
-    # generator; a longer run reads its uniforms from a second generator
-    # that has skipped the normals.
+    # the uniforms of its slots. A scripted run reads no uniforms.
     block = min(BLOCK, horizon)
-    rng = np.random.default_rng(config.seed)
+    if erasure_pattern is None:
+        rng, link_rng = seed_streams(config.seed, n, horizon, block)
+    else:
+        rng = np.random.default_rng(config.seed)
     scale = np.sqrt([pl.sigma_w2 for pl in plants])
     noise = _noise_rows(rng, block + 1, scale)
     row = noise.pop(0)
-    if erasure_pattern is not None:
-        link_rng = None
-    elif horizon == block:
-        link_rng = rng
-    else:
-        link_rng = np.random.Generator(np.random.PCG64())
-        link_rng.bit_generator.state = link_stream_state(config.seed, n, horizon)
 
     compound_mode = strat.compound
     filtering = strat.filtered
@@ -419,7 +408,7 @@ def run(config, erasure_pattern=None, record_traces=False):
         if s:
             noise.clear()  # never hold two blocks at once
             noise = _noise_rows(rng, size, scale)
-        if link_rng is None:
+        if erasure_pattern is not None:
             arrives = [not erased for erased in erasure_pattern[s : s + size]]
         else:
             arrives = (link_rng.random(size) >= config.loss_prob).tolist()
@@ -523,12 +512,7 @@ def run(config, erasure_pattern=None, record_traces=False):
                         if delta < len(tab):
                             cost = tab[delta]
                         else:
-                            cost = tab[-1]
-                            ai2 = a2[i]
-                            si2 = s2[i]
-                            for _ in range(len(tab), delta + 1):
-                                cost = ai2 * cost + si2
-                                tab.append(cost)
+                            cost = staleness_cost(tab, a2[i], s2[i], delta)
                         held = len(top_cost)
                         if held == k_fit:
                             if cost < top_cost[-1]:

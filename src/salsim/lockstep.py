@@ -9,11 +9,12 @@ engine.run stays the reference these arrays are tested against.
 How the scalar engine's sequential parts map onto arrays:
 
 - Random streams. A seed's stream holds all plant normals, then one
-  link uniform per slot. Normals are drawn BLOCK rows at a time from one
-  generator; the uniforms come from a second generator of the same seed
-  that has skipped the normals in BLOCK-row draws (link_stream_state,
-  memoised, so the cells of one loop count share the skip). engine.run
-  reads a run longer than one block the same way, in the same blocks.
+  link uniform per slot. seed_streams hands both engines a seed's
+  generators: normals are drawn a block of rows at a time, and a run of
+  one block draws its uniforms after them from the same generator,
+  while a longer run reads them from a second generator of the same
+  seed that has skipped the normals (link_stream_state, memoised, so the
+  cells of one loop count share the skip).
 - Staleness ranking. Cost tables g(d+1) = a^2 g(d) + sigma_w2 are
   shared by the cell and grown on demand. The top k are taken by k
   rounds of argmax, which returns the first maximum, so the lower id
@@ -164,6 +165,23 @@ def link_stream_state(seed, n, horizon):
     return rng.bit_generator.state
 
 
+def seed_streams(seed, n, horizon, block=BLOCK):
+    """A seed's normal generator and its uniform generator.
+
+    The caller draws each block's normals before its uniforms, `block`
+    slots at a time. When the horizon fits in one block, every normal
+    is drawn before the first uniform, so one generator serves both;
+    otherwise the uniforms come from a second generator positioned past
+    the normals by link_stream_state.
+    """
+    normal = np.random.default_rng(seed)
+    if horizon <= block:
+        return normal, normal
+    uniform = np.random.Generator(np.random.PCG64())
+    uniform.bit_generator.state = link_stream_state(seed, n, horizon)
+    return normal, uniform
+
+
 class _Streams:
     """Each seed's documented random stream, read one block at a time."""
 
@@ -171,12 +189,7 @@ class _Streams:
         self.n = n
         self.loss_prob = loss_prob
         self.noise_scale = noise_scale
-        self.normal = [np.random.default_rng(seed) for seed in seeds]
-        self.uniform = []
-        for seed in seeds:
-            bits = np.random.PCG64()
-            bits.state = link_stream_state(seed, n, horizon)
-            self.uniform.append(np.random.Generator(bits))
+        self.normal, self.uniform = zip(*(seed_streams(seed, n, horizon) for seed in seeds))
 
     def noise(self, rows):
         """The next `rows` rows of plant noise, shaped (rows, runs, n)."""

@@ -98,6 +98,22 @@ def aoi_cost(a, sigma_w2, delta):
     return sigma_w2 * (a2**delta - 1.0) / (a2 - 1.0)
 
 
+def staleness_cost(table, a2, sigma_w2, delta):
+    """g(delta) of a loop's staleness cost table, grown as far as needed.
+
+    table holds g(0) = 0, g(1), ...; entries past its end follow from the
+    recursion g(d+1) = a2 g(d) + sigma_w2 (a2 = a^2), aoi_cost summed one
+    term at a time, and are appended to it.
+    """
+    if delta < len(table):
+        return table[delta]
+    g = table[-1]
+    for _ in range(len(table), delta + 1):
+        g = a2 * g + sigma_w2
+        table.append(g)
+    return g
+
+
 def estimate_no_delivery(x_hat, u, a, b):
     """Open-loop propagation of the estimate under the last applied input."""
     return a * x_hat + b * u

@@ -19,6 +19,7 @@ from .mdu import (
     PDU_HEADER_SIZE,
     SalPdu,
 )
+from .plant import staleness_cost
 
 
 class AlreadyRegistered(Exception):
@@ -137,8 +138,7 @@ class DataHandler:
                 raise ValueError("need one (a, sigma_w2) pair per registered id")
             self._a2 = [a * a for a, _ in gains]
             self._s2 = [s2 for _, s2 in gains]
-            # staleness cost tables, grown on demand via
-            # g(d+1) = a^2 g(d) + sigma_w2
+            # staleness cost tables, grown on demand (plant.staleness_cost)
             self._g_tables = [[0.0] for _ in range(n)]
         elif policy is Policy.AOI_COST:
             raise ValueError("the AOI_COST policy needs one (a, sigma_w2) pair per id")
@@ -166,26 +166,7 @@ class DataHandler:
         every id in order; a single call per slot keeps wide unfiltered
         simulations off the per-call overhead.
         """
-        gen = self._gen
-        payload = self._payload
-        plen = self._plen
-        admitted = self._admitted
-        seq = self._seq
-        counter = self._counter
-        replaced = 0
-        for i, value in enumerate(values):
-            counter += 1
-            if gen[i] >= 0:
-                replaced += 1
-                if gen_time < gen[i]:
-                    continue
-            gen[i] = gen_time
-            payload[i] = value
-            plen[i] = payload_len
-            admitted[i] = True
-            seq[i] = counter
-        self._counter = counter
-        self.replaced_discards += replaced
+        self.ingest_flagged(gen_time, values, payload_len, [True] * len(values), False)
 
     def ingest_flagged(self, gen_time, values, payload_len, admit_flags, keep_suppressed):
         """Batch ingest for filtered publishers.
@@ -261,16 +242,7 @@ class DataHandler:
         return self._staleness_cost(mdu_id, now - self._anchor[mdu_id])
 
     def _staleness_cost(self, mdu_id, delta):
-        table = self._g_tables[mdu_id]
-        if delta < len(table):
-            return table[delta]
-        a2 = self._a2[mdu_id]
-        s2 = self._s2[mdu_id]
-        g = table[-1]
-        for _ in range(len(table), delta + 1):
-            g = a2 * g + s2
-            table.append(g)
-        return g
+        return staleness_cost(self._g_tables[mdu_id], self._a2[mdu_id], self._s2[mdu_id], delta)
 
     # ------------------------------------------------------- selection
 
@@ -349,17 +321,9 @@ class DataHandler:
             order = self._round_robin_order(k)
         else:
             order = self._top_k_order(k, now)
-        gen = self._gen
-        payload = self._payload
-        plen = self._plen
-        admitted = self._admitted
-        picked = [Buffered(i, gen[i], payload[i], plen[i], admitted[i]) for i in order]
-        for i in order:
-            gen[i] = -1
-            payload[i] = None
         if order and self.policy is Policy.ROUND_ROBIN:
-            self._rr_next = (order[-1] + 1) % len(gen)
-        return picked
+            self._rr_next = (order[-1] + 1) % len(self._gen)
+        return [self._take(i) for i in order]
 
     def _top_k_order(self, k, now):
         """Ids of the k best-ranked candidates, admitted tier first.

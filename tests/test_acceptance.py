@@ -23,7 +23,7 @@ import pytest
 
 from salsim.channel import ErasureChannel, Reassembler, fragment_packet
 from salsim.cli import main
-from salsim.engine import SimConfig, run, summarize, sweep
+from salsim.engine import SimConfig, run, run_cell, summarize, sweep
 from salsim.mdu import Mdu, SalPdu, deserialize_pdu, serialize_pdu
 from salsim.plant import PlantParams, solve_riccati
 from salsim.publisher import DeadbandFilter
@@ -61,7 +61,8 @@ def test_scripted_erasure_pattern_reproduces_age_sawtooth():
 def test_exhaustive_eight_slot_instance_matches_monte_carlo():
     # all 2^8 erasure patterns, weighted by their Bernoulli probability,
     # give the exact expected mean age; 1e5 seeded runs must agree to
-    # within three standard errors
+    # within three standard errors. The seeds run as lockstep cells of
+    # 10,000, which must equal run() on every 100th seed.
     base = SimConfig(n_loops=1, horizon=8, warmup=0, strategy="UA", loss_prob=0.3)
     exact = 0.0
     for bits in range(256):
@@ -69,7 +70,13 @@ def test_exhaustive_eight_slot_instance_matches_monte_carlo():
         weight = 0.3 ** sum(pattern) * 0.7 ** (8 - sum(pattern))
         exact += weight * run(base, erasure_pattern=pattern).mean_aoi
     trials = 100_000
-    samples = [run(dataclasses.replace(base, seed=s)).mean_aoi for s in range(trials)]
+    samples = []
+    checked = []
+    for lo in range(0, trials, 10_000):
+        cell = run_cell([dataclasses.replace(base, seed=s) for s in range(lo, lo + 10_000)])
+        samples.extend(r.mean_aoi for r in cell)
+        checked.extend(cell[::100])
+    assert checked == [run(dataclasses.replace(base, seed=s)) for s in range(0, trials, 100)]
     mc_mean = statistics.fmean(samples)
     stderr = statistics.stdev(samples) / math.sqrt(trials)
     assert stderr > 0.0

@@ -13,32 +13,31 @@ from salsim.channel import (
     FRAGMENT_HEADER_SIZE,
     ErasureChannel,
     FragmentError,
-    LinkConfig,
     Reassembler,
     fragment_layout,
     fragment_packet,
     parse_fragment,
 )
+from salsim.engine import ConfigError, SimConfig
 
 
 def test_link_config_defaults():
-    cfg = LinkConfig()
+    cfg = SimConfig()
     assert cfg.tb_capacity == 64
     assert cfg.loss_prob == 0.10
-    assert cfg.slot_duration_ms == 10.0
     assert cfg.per_packet_loss is False
     cfg.validate()
 
 
 def test_link_config_validation():
-    with pytest.raises(ValueError):
-        LinkConfig(loss_prob=-0.1).validate()
-    with pytest.raises(ValueError):
-        LinkConfig(loss_prob=1.5).validate()
-    with pytest.raises(ValueError):
-        LinkConfig(tb_capacity=FRAGMENT_HEADER_SIZE).validate()
-    with pytest.raises(ValueError):
-        LinkConfig(slot_duration_ms=0.0).validate()
+    with pytest.raises(ConfigError, match=r"loss_prob must lie in \[0, 1\], got -0.1"):
+        SimConfig(loss_prob=-0.1).validate()
+    with pytest.raises(ConfigError, match=r"loss_prob must lie in \[0, 1\], got 1.5"):
+        SimConfig(loss_prob=1.5).validate()
+    # compound packets fragment, so only the fragment header bounds the block
+    with pytest.raises(ConfigError, match="must exceed the 6 byte fragment header, got 6"):
+        SimConfig(strategy="UC", tb_capacity=FRAGMENT_HEADER_SIZE).validate()
+    SimConfig(strategy="UC", tb_capacity=FRAGMENT_HEADER_SIZE + 1, n_loops=1).validate()
 
 
 def test_degenerate_loss_probabilities():

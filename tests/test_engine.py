@@ -511,10 +511,11 @@ INF = float("inf")
         ("r", INF),
         ("a_min", NAN),
         ("a_max", NAN),
-        ("slot_duration_ms", INF),
         ("deadband", "0.5"),
         ("loss_prob", "0.1"),
         ("loss_prob", NAN),
+        ("q", True),
+        ("loss_prob", False),
     ],
 )
 def test_config_rejects_non_finite_numbers(field, value):

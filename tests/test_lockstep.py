@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import salsim.engine as engine
-from salsim.engine import SimConfig, run, sweep
-from salsim.lockstep import FOLD_CAP, PairwiseFold
+import salsim.lockstep as lockstep
+from salsim.engine import SimConfig, run, run_cell, sweep
+from salsim.lockstep import BLOCK, FOLD_CAP, PairwiseFold
 
 BASE = dict(n_loops=4, horizon=300, warmup=40, loss_prob=0.25, seed=11, repetitions=3)
 
@@ -43,6 +44,10 @@ CELLS = [
         dict(n_loops=7, tb_capacity=92, a_min=1.1, a_max=1.1),
         ["UA", "FA", "FA+TIS"],
     ),
+    # the last horizon whose uniforms follow the normals in one generator,
+    # and the first that reads them from a second one
+    ("one block", dict(horizon=512), ["UC", "FC", "UA", "FA", "FA+TIS"]),
+    ("one block and a slot", dict(horizon=513), ["UC", "FC", "UA", "FA", "FA+TIS"]),
 ]
 
 
@@ -76,6 +81,24 @@ def test_sweep_cells_match_run_field_for_field(monkeypatch, name, overrides, tok
                 row.seed,
                 field.name,
             )
+
+
+def test_only_link_draws_past_one_block_skip_the_normals(monkeypatch):
+    # a scripted run reads no uniforms, and a run of one block reads them
+    # after its normals from the same generator, in either engine
+    def refuse(*args):
+        raise AssertionError("skipped the normals")
+
+    monkeypatch.setattr(lockstep, "link_stream_state", refuse)
+    monkeypatch.setattr(engine, "LOCKSTEP_ATOMIC_US", 0.0)
+    longer = SimConfig(**{**BASE, "horizon": BLOCK + 1})
+    run(longer, erasure_pattern=[t % 3 == 0 for t in range(longer.horizon)])
+    with pytest.raises(AssertionError, match="skipped the normals"):
+        run(longer)
+    one_block = SimConfig(**{**BASE, "horizon": BLOCK})
+    run(one_block)
+    assert engine._takes_lockstep([one_block] * 3)
+    run_cell([dataclasses.replace(one_block, seed=seed) for seed in (11, 12, 13)])
 
 
 def test_single_seed_and_object_policies_keep_calling_run(monkeypatch):

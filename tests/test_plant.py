@@ -20,6 +20,7 @@ from salsim.plant import (
     plant_step,
     solve_riccati,
     stage_cost,
+    staleness_cost,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -184,6 +185,17 @@ def test_aoi_cost_marginally_stable_plant_is_linear():
 def test_aoi_cost_hand_value():
     # 1 + 1.1^2 + 1.1^4 = 3.6741
     assert aoi_cost(1.1, 1.0, 3) == pytest.approx(3.6741, rel=1e-9)
+
+
+def test_staleness_cost_table_grows_on_demand_to_the_closed_form():
+    for a, s2 in [(1.1, 1.0), (0.9, 2.5), (1.0, 1.0)]:
+        table = [0.0]
+        assert staleness_cost(table, a * a, s2, 60) == pytest.approx(aoi_cost(a, s2, 60), rel=1e-9)
+        assert len(table) == 61
+        for delta in range(61):
+            assert table[delta] == pytest.approx(aoi_cost(a, s2, delta), rel=1e-9, abs=1e-12)
+    table[5] = -1.0  # an entry the table holds is read, not recomputed
+    assert staleness_cost(table, 1.0, 1.0, 5) == -1.0
 
 
 def test_aoi_cost_closed_form_matches_direct_sum():
