@@ -13,13 +13,15 @@ Freshness ages and stage costs are therefore measured on the post-update
 state of slot t.
 
 The slot loop is written for throughput: the controller update of slot
-t and the plant step of slot t+1 share one pass over the loops, atomic
-ingest and selection under the staleness-cost policy are mirrored
-inline, and freshness age totals are integrated from delivery events
-instead of per-slot counters. Deadband semantics follow DeadbandFilter
-(first sample always admits, strict threshold, reference moves only on
-admission); the filter is inlined here and pinned to the reference
-implementation by the filtered-vs-unfiltered equivalence tests.
+t and the plant step of slot t+1 share one pass over the loops, after
+which two array.fromlist calls append every loop's input and state to
+the block as one time-major row, atomic ingest and selection under the
+staleness-cost policy are mirrored inline, and freshness age totals are
+integrated from delivery events instead of per-slot counters. Deadband
+semantics follow DeadbandFilter (first sample always admits, strict
+threshold, reference moves only on admission); the filter is inlined
+here and pinned to the reference implementation by the
+filtered-vs-unfiltered equivalence tests.
 
 A run holds the same memory whatever its horizon. Slots go by in the
 lockstep engine's blocks of lockstep.BLOCK (512): each block draws its
@@ -29,10 +31,12 @@ states and inputs into the stage-cost sums (lockstep.PairwiseFold, bit
 for bit numpy's sum over the whole window). Each loop's input history
 reaches back only to the oldest sample that a buffer, the compound queue
 or the packet on the wire still holds for it, as replay needs. After
-2,000-slot warm-up runs, a 1e5-slot run of 20 loops raised peak resident
-memory by at most 0.13 MB, against 5.8-7.9 MB with blocks of 4,096
-slots, whose noise rows, histories and squares the allocator keeps
-resident (Linux, Python 3.11, numpy 2.4).
+2,000-slot warm-up runs of UA, FA and UC at 20 loops, 50k-slot runs of
+each raised peak resident memory by at most 0.02 MB, against 5.8-7.9 MB
+with blocks of 4,096 slots, whose noise rows, histories and squares the
+allocator keeps resident, and 0.26-0.41 MB with states and inputs in two
+row arrays that regrow by turns each block (Linux, Python 3.11, numpy
+2.4).
 
 sweep() hands its cells (one loop count and strategy, all seeds) to
 run_cell(). A cell of AOI_COST seeds runs in the lockstep engine
@@ -50,6 +54,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import fmean
 from typing import NamedTuple, Optional
 
@@ -227,6 +232,10 @@ _EXACT_TYPES = [f.type for f in dataclasses.fields(SimConfig) if f.type in _TYPE
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type is float]
 _exact_values = operator.attrgetter(*_EXACT_FIELDS)
 _float_values = operator.attrgetter(*_FLOAT_FIELDS)
+# every field but the seed, which is all a sweep cell's configs may share
+_cell_values = operator.attrgetter(
+    *[f.name for f in dataclasses.fields(SimConfig) if f.name != "seed"]
+)
 
 
 @dataclass
@@ -285,7 +294,7 @@ def run(config, erasure_pattern=None, record_traces=False):
     a = [pl.a for pl in plants]
     b = [pl.b for pl in plants]
     try:
-        neg_gain = [-solve_riccati(pl.a, pl.b, pl.q, pl.r)[1] for pl in plants]
+        neg_gain = [_neg_gain(pl.a, pl.b, pl.q, pl.r) for pl in plants]
     except RiccatiError as exc:
         raise _no_gain(exc) from None
 
@@ -339,16 +348,17 @@ def run(config, erasure_pattern=None, record_traces=False):
     x = [0.0] * n
     x_hat = [0.0] * n
     u = [0.0] * n
-    # per loop, the block's states x_s..x_e (x_s carried at index 0) and
-    # the inputs from u_base on, which replay needs: the block's slots
-    # write both at index j - block, just past what is kept; squares of
-    # x and u over the measured window are folded block by block
-    xb = [array("d", [0.0]) * (block + 1) for _ in range(n)]
-    uw = [array("d", [0.0]) * block for _ in range(n)]
+    # the block's states and inputs, one time-major row (x_t, u_t) of 2n
+    # values per slot; the state after the last row carries into the next
+    # block. Per loop, uh holds the inputs from u_base to the block's
+    # start, which replay needs. One array, not two, keeps the peak flat:
+    # two arrays that grow by turns leave holes in the heap
+    rows = array("d")
+    width = 2 * n
+    uh = [array("d") for _ in range(n)]
     u_base = [0] * n
-    blank = array("d", [0.0]) * block
-    par = list(zip(a, b, neg_gain, uw, xb))
-    fold = PairwiseFold(horizon - warmup, (2 * n,))
+    par = list(zip(a, b, neg_gain))
+    fold = PairwiseFold(horizon - warmup, (width,))
     got_gen = [-1] * n
     got_val = [0.0] * n
     # freshness age integration: per loop, the open segment since the
@@ -397,12 +407,12 @@ def run(config, erasure_pattern=None, record_traces=False):
     for i in range(n):
         xi = row[i]
         x[i] = xi
-        xb[i][0] = xi
         if filtering and abs(xi - last_ref[i]) > threshold:
             trig[i] = True
             last_ref[i] = xi
             pend += 1
 
+    rows.fromlist(x)
     for s in range(0, horizon, block):
         size = min(block, horizon - s)
         if s:
@@ -579,18 +589,23 @@ def run(config, erasure_pattern=None, record_traces=False):
                                 delivery_log.append((t, mid, mdu.gen_time))
 
             # ------------- controller update for t fused with plant step t+1
-            at = j - block
             row = noise[j]
             pend = 0
             for i in range(n):
-                ai, bi, ngi, uw_i, xb_i = par[i]
+                ai, bi, ngi = par[i]
                 gen = got_gen[i]
                 if gen >= 0:
                     got_gen[i] = -1
-                    value = got_val[i]
-                    xh = value
+                    xh = got_val[i]
                     if gen != t:
-                        for uk in uw_i[gen - u_base[i] : at]:
+                        # the inputs u_gen..u_t-1: held history, then rows
+                        if gen < s:
+                            for uk in uh[i][gen - u_base[i] :]:
+                                xh = ai * xh + bi * uk
+                            first = n + i
+                        else:
+                            first = (gen - s) * width + n + i
+                        for uk in rows[first : j * width : width]:
                             xh = ai * xh + bi * uk
                     prev = seg_slot[i]
                     lo = prev + 1
@@ -611,10 +626,8 @@ def run(config, erasure_pattern=None, record_traces=False):
                 x_hat[i] = xh
                 ui = ngi * xh
                 u[i] = ui
-                uw_i[at] = ui
                 xi = ai * x[i] + bi * ui + row[i]
                 x[i] = xi
-                xb_i[at] = xi
                 if filtering:
                     if abs(xi - last_ref[i]) > threshold:
                         trig[i] = True
@@ -622,20 +635,16 @@ def run(config, erasure_pattern=None, record_traces=False):
                         pend += 1
                     else:
                         trig[i] = False
+            rows.fromlist(u)
+            rows.fromlist(x)
 
         # the block's measured slots join the stage-cost sums
         lo = max(warmup - s, 0)
         if lo < size:
-            squares = np.array(
-                [np.frombuffer(xb_i)[lo:size] for xb_i in xb]
-                + [np.frombuffer(uw_i)[len(uw_i) - block :][lo:size] for uw_i in uw]
-            )
-            squares *= squares
-            fold.extend(squares.T)
+            squares = np.square(np.frombuffer(rows)[lo * width : size * width])
+            fold.extend(squares.reshape(size - lo, width))
         end = s + size
         if end < horizon:
-            for xb_i, xi in zip(xb, x):
-                xb_i[0] = xi
             # each loop keeps its inputs back to the oldest generation
             # that a later slot can still deliver to it; the packet on
             # the wire is older than every queued one, and any packet
@@ -654,9 +663,11 @@ def run(config, erasure_pattern=None, record_traces=False):
                     end if held is None else held.gen_time
                     for held in map(handler.occupant, range(n))
                 ]
-            for i, uw_i in enumerate(uw):
-                del uw_i[: oldest[i] - u_base[i]]
-                uw_i.extend(blank)
+            for i, uh_i in enumerate(uh):
+                del uh_i[: oldest[i] - u_base[i]]
+                first = max(oldest[i] - s, 0) * width + n + i
+                uh_i.extend(rows[first : size * width : width])
+            del rows[: size * width]
             u_base = oldest
 
     # close each loop's open age segment at the end of the horizon
@@ -725,6 +736,17 @@ def _linspace(start, stop, num):
         grid = [start + j * step for j in range(div)]
     grid.append(stop)
     return grid
+
+
+@lru_cache(maxsize=256, typed=True)
+def _neg_gain(a, b, q, r):
+    """-L, the stationary LQR gain negated, solved once per plant.
+
+    A RiccatiError is raised afresh on every call, never cached. Keys
+    that compare equal give the same run: a = -0.0 only flips the sign
+    of zero gains and inputs, whose squares and sums are +0.0 either way.
+    """
+    return -solve_riccati(a, b, q, r)[1]
 
 
 def _no_gain(exc):
@@ -859,8 +881,9 @@ def run_cell(configs):
     cells go through run() one config at a time.
     """
     first = configs[0]
+    shared = _cell_values(first)
     for config in configs[1:]:
-        if dataclasses.replace(config, seed=first.seed) != first:
+        if _cell_values(config) != shared:
             raise ConfigError("a sweep cell's configs may differ only by seed")
     if not _takes_lockstep(configs):
         return [run(config) for config in configs]

@@ -228,6 +228,22 @@ def test_noise_row_blocks_leave_every_field_unchanged(monkeypatch, overrides, de
             assert delivery in log
 
 
+@pytest.mark.parametrize("tok", ["FA", "UC", "FC"])
+def test_replay_reads_held_inputs_and_the_current_block(monkeypatch, tok):
+    # a delivery from before its block's start replays the loop's held
+    # inputs, then the block's rows; one from inside the block (but
+    # older than its slot) replays the block's rows alone. Both must
+    # occur in blocks of 7, and give the one-block run
+    c = cfg(n_loops=4, deadband=0.4, loss_prob=0.25, horizon=61, warmup=5, seed=13, strategy=tok)
+    whole = run(c, record_traces=True)
+    monkeypatch.setattr(engine, "BLOCK", 7)
+    res = run(c, record_traces=True)
+    log = res.delivery_log
+    assert any(gen < slot - slot % 7 for slot, _loop, gen in log)
+    assert any(slot - slot % 7 <= gen < slot for slot, _loop, gen in log)
+    assert res == whole
+
+
 def python_output(code):
     """Standard output of `code` run by a fresh interpreter on this salsim."""
     src = os.path.dirname(os.path.dirname(salsim.__file__))
@@ -586,6 +602,36 @@ def test_large_state_weight_gets_a_gain():
     # the Riccati iterates for this weight end in a rounding two-cycle
     res = run(cfg(q=1e8, a_min=1.2, a_max=1.2))
     assert math.isfinite(res.mean_lqg)
+
+
+def test_each_plant_gain_is_solved_once_and_failures_never(monkeypatch):
+    solved = []
+
+    def counted(a, b, q, r):
+        solved.append((a, b, q, r))
+        return solve_riccati(a, b, q, r)
+
+    monkeypatch.setattr(engine, "solve_riccati", counted)
+    engine._neg_gain.cache_clear()
+    c = cfg(n_loops=3, q=2.5, horizon=50, warmup=0)
+    first = run(c)
+    assert len(solved) == 3
+    assert run(dataclasses.replace(c, seed=2)) != first and len(solved) == 3
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="no stationary LQR gain"):
+            run(cfg(q=1e300, a_min=1.2, a_max=1.2, n_loops=1))
+    assert len(solved) == 5
+    # a = -0.0 shares its key with +0.0; either gain gives the same run
+    zero = dataclasses.replace(c, n_loops=1, plants=[PlantParams(a=0.0)])
+    signed = dataclasses.replace(zero, plants=[PlantParams(a=-0.0)])
+    alone = []
+    for config in (zero, signed):
+        engine._neg_gain.cache_clear()
+        alone.append(run(config))
+    assert run(zero) == alone[0]  # with the gain solved for -0.0
+    engine._neg_gain.cache_clear()
+    run(zero)
+    assert run(signed) == alone[1]
 
 
 def test_riccati_failure_in_a_lockstep_cell_is_a_config_error(monkeypatch):

@@ -15,6 +15,7 @@ import salsim.engine as engine
 import salsim.lockstep as lockstep
 from salsim.engine import SimConfig, run, run_cell, sweep
 from salsim.lockstep import BLOCK, FOLD_CAP, PairwiseFold
+from salsim.plant import PlantParams
 
 BASE = dict(n_loops=4, horizon=300, warmup=40, loss_prob=0.25, seed=11, repetitions=3)
 
@@ -181,6 +182,16 @@ def test_lockstep_cell_rejects_configs_that_differ_beyond_the_seed():
     configs[1].loss_prob = 0.5
     with pytest.raises(engine.ConfigError):
         engine.run_cell(configs)
+
+
+def test_lockstep_cell_rejects_configs_whose_plants_alone_differ():
+    plants = [PlantParams(a=1.0), PlantParams(a=1.1)]
+    configs = [SimConfig(n_loops=2, horizon=50, warmup=0, seed=s, plants=plants) for s in (1, 2)]
+    configs[1].plants = [PlantParams(a=1.0), PlantParams(a=1.2)]
+    with pytest.raises(engine.ConfigError, match="differ only by seed"):
+        engine.run_cell(configs)
+    configs[1].plants = [PlantParams(a=1.0), PlantParams(a=1.1)]  # equal, not the same list
+    assert engine.run_cell(configs) == [run(config) for config in configs]
 
 
 def test_lockstep_cell_validates_its_first_config_once(monkeypatch):
