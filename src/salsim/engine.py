@@ -28,15 +28,15 @@ lockstep engine's blocks of lockstep.BLOCK (512): each block draws its
 plant noise and link uniforms as Python floats, from the generators
 lockstep.seed_streams hands both engines, and at its end folds its
 states and inputs into the stage-cost sums (lockstep.PairwiseFold, bit
-for bit numpy's sum over the whole window). Each loop's input history
-reaches back only to the oldest sample that a buffer, the compound queue
-or the packet on the wire still holds for it, as replay needs. After
+for bit numpy's sum over the whole window). The rows of states and
+inputs that replay reads reach back 1/8 block, or further to the oldest
+sample that a buffer, the compound queue or the wire still holds. After
 2,000-slot warm-up runs of UA, FA and UC at 20 loops, 50k-slot runs of
-each raised peak resident memory by at most 0.02 MB, against 5.8-7.9 MB
-with blocks of 4,096 slots, whose noise rows, histories and squares the
-allocator keeps resident, and 0.26-0.41 MB with states and inputs in two
-row arrays that regrow by turns each block (Linux, Python 3.11, numpy
-2.4).
+each raised peak resident memory by at most 0.02 MB in 76 of 79 trials
+(0.05-0.17 MB in the others), against 5.8-7.9 MB with blocks of 4,096
+slots, whose noise rows, histories and squares the allocator keeps
+resident, and 0.26-0.41 MB with states and inputs in two row arrays that
+regrow by turns each block (Linux, Python 3.11, numpy 2.4).
 
 sweep() hands its cells (one loop count and strategy, all seeds) to
 run_cell(). A cell of AOI_COST seeds runs in the lockstep engine
@@ -275,7 +275,8 @@ def run(config, erasure_pattern=None, record_traces=False):
     erasure_pattern, when given, scripts the link (True = block erased)
     instead of the Bernoulli draws; it must cover the whole horizon.
     record_traces additionally returns the per-slot age of every loop
-    and a (slot, loop, sample_time) log of controller deliveries.
+    and a (slot, loop, sample_time) log of controller deliveries, which
+    lists each slot's deliveries in loop order.
     """
     config.validate()
     strat = config.resolved_strategy()
@@ -348,15 +349,13 @@ def run(config, erasure_pattern=None, record_traces=False):
     x = [0.0] * n
     x_hat = [0.0] * n
     u = [0.0] * n
-    # the block's states and inputs, one time-major row (x_t, u_t) of 2n
-    # values per slot; the state after the last row carries into the next
-    # block. Per loop, uh holds the inputs from u_base to the block's
-    # start, which replay needs. One array, not two, keeps the peak flat:
-    # two arrays that grow by turns leave holes in the heap
+    # states and inputs, one time-major row (x_t, u_t) of 2n values per
+    # slot from slot row0 on, then x_t of the current slot. One array,
+    # not two, keeps the peak flat: two arrays that grow by turns leave
+    # holes in the heap
     rows = array("d")
     width = 2 * n
-    uh = [array("d") for _ in range(n)]
-    u_base = [0] * n
+    row0 = 0
     par = list(zip(a, b, neg_gain))
     fold = PairwiseFold(horizon - warmup, (width,))
     got_gen = [-1] * n
@@ -444,16 +443,16 @@ def run(config, erasure_pattern=None, record_traces=False):
                 published_total += n
             if compound_mode:
                 if not filtering:
-                    handler.ingest_compound((t, tuple(x)))
+                    handler.ingest_compound((t, tuple(x), range(n)))
                 elif pend:
-                    handler.ingest_compound((t, [(i, x[i]) for i in range(n) if trig[i]]))
+                    handler.ingest_compound((t, tuple(x), [i for i in range(n) if trig[i]]))
                 fresh_packet = False
                 if not frag_left:
                     packet = handler.next_compound()
                     if packet is not None:
-                        cur_gen, cur_vals = packet
+                        cur_gen, cur_vals, cur_ids = packet
                         frag_left, last_pad = fragment_layout(
-                            1 + len(cur_vals) * entry_size, capacity
+                            1 + len(cur_ids) * entry_size, capacity
                         )
                         cur_ok = True
                         fresh_packet = True
@@ -470,20 +469,9 @@ def run(config, erasure_pattern=None, record_traces=False):
                     if not ok:
                         cur_ok = False
                     elif not frag_left and cur_ok:
-                        if filtering:
-                            delivered_total += len(cur_vals)
-                            for i, v in cur_vals:
-                                got_gen[i] = cur_gen
-                                got_val[i] = v
-                                if delivery_log is not None:
-                                    delivery_log.append((t, i, cur_gen))
-                        else:
-                            delivered_total += n
-                            for i in range(n):
-                                got_gen[i] = cur_gen
-                                got_val[i] = cur_vals[i]
-                                if delivery_log is not None:
-                                    delivery_log.append((t, i, cur_gen))
+                        for i in cur_ids:
+                            got_gen[i] = cur_gen
+                            got_val[i] = cur_vals[i]
             elif fast_sal:
                 # --------------- mirrored ingest / rank / deliver, one pass
                 if filtering and not tis_on:
@@ -540,7 +528,6 @@ def run(config, erasure_pattern=None, record_traces=False):
                     pad_total += capacity - PDU_HEADER_SIZE - len(top_id) * entry_size
                     ok = arrives[j]
                     if filtering and not tis_on:
-                        delivered_total += len(top_id) if ok else 0
                         for i in top_id:
                             g = buf_gen[i]
                             buf_gen[i] = -1
@@ -548,18 +535,13 @@ def run(config, erasure_pattern=None, record_traces=False):
                                 got_gen[i] = g
                                 got_val[i] = buf_val[i]
                                 anchor[i] = g
-                                if delivery_log is not None:
-                                    delivery_log.append((t, i, g))
                     else:
                         occupied -= len(top_id)
                         if ok:
-                            delivered_total += len(top_id)
                             for i in top_id:
                                 got_gen[i] = t
                                 got_val[i] = x[i]
                                 anchor[i] = t
-                                if delivery_log is not None:
-                                    delivery_log.append((t, i, t))
             else:
                 if filtering:
                     ingest_flagged(t, x, value_size, trig, tis_on)
@@ -580,32 +562,25 @@ def run(config, erasure_pattern=None, record_traces=False):
                         deliveries, acks = process(pdu, t)
                         for ack in acks:
                             handle_ack(ack)
-                        delivered_total += len(deliveries)
                         for mdu, _subs in deliveries:
-                            mid = mdu.id
-                            got_gen[mid] = mdu.gen_time
-                            got_val[mid] = decode_value(mdu.payload, value_size)
-                            if delivery_log is not None:
-                                delivery_log.append((t, mid, mdu.gen_time))
+                            got_gen[mdu.id] = mdu.gen_time
+                            got_val[mdu.id] = decode_value(mdu.payload, value_size)
 
             # ------------- controller update for t fused with plant step t+1
             row = noise[j]
             pend = 0
+            now = (t - row0) * width
             for i in range(n):
                 ai, bi, ngi = par[i]
                 gen = got_gen[i]
                 if gen >= 0:
                     got_gen[i] = -1
+                    delivered_total += 1
+                    if delivery_log is not None:
+                        delivery_log.append((t, i, gen))
                     xh = got_val[i]
-                    if gen != t:
-                        # the inputs u_gen..u_t-1: held history, then rows
-                        if gen < s:
-                            for uk in uh[i][gen - u_base[i] :]:
-                                xh = ai * xh + bi * uk
-                            first = n + i
-                        else:
-                            first = (gen - s) * width + n + i
-                        for uk in rows[first : j * width : width]:
+                    if gen != t:  # replay the inputs u_gen..u_t-1
+                        for uk in rows[(gen - row0) * width + n + i : now : width]:
                             xh = ai * xh + bi * uk
                     prev = seg_slot[i]
                     lo = prev + 1
@@ -639,36 +614,32 @@ def run(config, erasure_pattern=None, record_traces=False):
             rows.fromlist(x)
 
         # the block's measured slots join the stage-cost sums
-        lo = max(warmup - s, 0)
-        if lo < size:
-            squares = np.square(np.frombuffer(rows)[lo * width : size * width])
-            fold.extend(squares.reshape(size - lo, width))
         end = s + size
+        lo = max(warmup, s)
+        if lo < end:
+            squares = np.square(np.frombuffer(rows)[(lo - row0) * width : (end - row0) * width])
+            fold.extend(squares.reshape(end - lo, width))
         if end < horizon:
-            # each loop keeps its inputs back to the oldest generation
-            # that a later slot can still deliver to it; the packet on
-            # the wire is older than every queued one, and any packet
-            # may carry any loop
+            # rows go back to the oldest generation that a later slot can
+            # still deliver (the packet on the wire is older than every
+            # queued one), and at least 1/8 block, so that blocks end at
+            # one length while held samples are younger: lengths that
+            # varied with UC's queue moved the array in the heap, and
+            # 50k-slot runs at 20 loops raised the peak by up to 0.22 MB
             if compound_mode:
                 if frag_left:
-                    held_gen = cur_gen
+                    keep = cur_gen
                 else:
                     queued = handler.peek_compound()
-                    held_gen = end if queued is None else queued[0]
-                oldest = [held_gen] * n
+                    keep = end if queued is None else queued[0]
             elif fast_sal:
-                oldest = [end if gen < 0 else gen for gen in buf_gen]
+                keep = min([gen for gen in buf_gen if gen >= 0], default=end)
             else:
-                oldest = [
-                    end if held is None else held.gen_time
-                    for held in map(handler.occupant, range(n))
-                ]
-            for i, uh_i in enumerate(uh):
-                del uh_i[: oldest[i] - u_base[i]]
-                first = max(oldest[i] - s, 0) * width + n + i
-                uh_i.extend(rows[first : size * width : width])
-            del rows[: size * width]
-            u_base = oldest
+                held = [o.gen_time for o in map(handler.occupant, range(n)) if o is not None]
+                keep = min(held, default=end)
+            keep = min(keep, end - block // 8)
+            del rows[: (keep - row0) * width]
+            row0 = keep
 
     # close each loop's open age segment at the end of the horizon
     for i in range(n):
@@ -894,9 +865,10 @@ def run_cell(configs):
     strat = first.resolved_strategy()
     plants = first.make_plants()
     try:
-        done = run_lockstep(configs, strat, plants)
+        neg_gain = [_neg_gain(pl.a, pl.b, pl.q, pl.r) for pl in plants]
     except RiccatiError as exc:
         raise _no_gain(exc) from None
+    done = run_lockstep(configs, strat, plants, neg_gain)
     return [_result(config, strat, plants, totals) for config, totals in zip(configs, done)]
 
 

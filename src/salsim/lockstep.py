@@ -41,7 +41,6 @@ import numpy as np
 
 from .channel import fragment_layout
 from .mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE
-from .plant import solve_riccati
 
 BLOCK = 512  # slots per block of random draws and stage-cost folding, in both engines
 
@@ -411,8 +410,8 @@ class _Compound(_Link):
 # --------------------------------------------------------------- engine
 
 
-def run_lockstep(configs, strat, plants):
-    """Simulate configs that differ only by seed; one RunTotals per config."""
+def run_lockstep(configs, strat, plants, neg_gain):
+    """Simulate configs that differ only by seed, given each plant's -L; one RunTotals each."""
     first = configs[0]
     runs = len(configs)
     n = first.n_loops
@@ -432,7 +431,7 @@ def run_lockstep(configs, strat, plants):
 
     a = tiled([pl.a for pl in plants])
     b = tiled([pl.b for pl in plants])
-    neg_gain = tiled([-solve_riccati(pl.a, pl.b, pl.q, pl.r)[1] for pl in plants])
+    neg_gain = tiled(neg_gain)
     noise_scale = np.sqrt([pl.sigma_w2 for pl in plants])
     streams = _Streams([c.seed for c in configs], n, horizon, first.loss_prob, noise_scale)
 
@@ -451,8 +450,7 @@ def run_lockstep(configs, strat, plants):
         np.putmask(last_ref, trig, x)
 
     slots = horizon - warmup
-    fold_x = PairwiseFold(slots, (runs, n))
-    fold_u = PairwiseFold(slots, (runs, n))
+    fold = PairwiseFold(slots, (runs, 2 * n))
     # unused ring and buffer slots keep taking replay steps and may run
     # off to inf; the scalar engine's Python floats overflow silently too
     with np.errstate(over="ignore", invalid="ignore"):
@@ -460,8 +458,7 @@ def run_lockstep(configs, strat, plants):
             rows = min(BLOCK, horizon - start)
             noise = streams.noise(rows)
             arrives = streams.arrivals(rows)
-            xs = np.empty((rows, runs, n))
-            us = np.empty((rows, runs, n))
+            xu = np.empty((rows, runs, 2 * n))  # x_t, then u_t
             if filtering:
                 trig_rec = np.empty((rows, runs, n), dtype=bool)
             link.begin_block(rows, age)
@@ -470,7 +467,7 @@ def run_lockstep(configs, strat, plants):
                 t = start + j
                 if t == warmup:
                     area[:] = 0
-                xs[j] = x
+                xu[j, :, :n] = x
                 age += 1
                 if filtering:
                     trig_rec[j] = trig
@@ -484,7 +481,7 @@ def run_lockstep(configs, strat, plants):
                     np.putmask(x_hat, mask, values)
                     np.putmask(age, mask, ages)
                 area += age
-                u = np.multiply(neg_gain, x_hat, out=us[j])
+                u = np.multiply(neg_gain, x_hat, out=xu[j, :, n:])
                 bu = b * u
                 x *= a
                 x += bu
@@ -497,8 +494,7 @@ def run_lockstep(configs, strat, plants):
                     np.putmask(last_ref, trig, x)
 
             window = slice(max(warmup - start, 0), rows)
-            fold_x.extend(xs[window] * xs[window])
-            fold_u.extend(us[window] * us[window])
+            fold.extend(np.square(xu[window]))
             if filtering:
                 triggered += trig_rec[window].sum(axis=(0, 2))
             link.end_block(window, arrives)
@@ -508,8 +504,7 @@ def run_lockstep(configs, strat, plants):
         triggered[:] = full
     published = triggered if filtering and not strat.tis else np.full(runs, full)
     blocks, padding, delivered, discards = link.counts
-    x_sq = fold_x.total().tolist()
-    u_sq = fold_u.total().tolist()
+    squared = fold.total().tolist()
     area = area.tolist()
     columns = np.stack([blocks, padding, triggered, published, delivered, discards], axis=1).tolist()
-    return [RunTotals(area[r], x_sq[r], u_sq[r], *columns[r]) for r in range(runs)]
+    return [RunTotals(area[r], squared[r][:n], squared[r][n:], *columns[r]) for r in range(runs)]

@@ -6,7 +6,8 @@ AOI_COST path, the value codec and DataReader on FIFO/ROUND_ROBIN,
 compound ingest on UC) and that tracing leaves every result unchanged.
 A change under src/ that breaks the wiring the tracer patches, or an
 output that benchmarks/micro.py checks, fails here, not only when the
-benchmark runs.
+benchmark runs. The slow tests run each workload once and compare its
+results and artifact bytes with benchmarks/reference.json.
 """
 
 import importlib.util
@@ -14,6 +15,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import salsim.channel
 import salsim.mdu
@@ -33,6 +36,22 @@ def test_benchmark_self_check_passes():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["self_check"] == "ok"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["atomic_n20", "compound_n20", "object_policies", "tiny_runs"])
+def test_benchmark_workloads_match_their_reference(workload):
+    # one short untraced pass checks every run's result and the CSV/SVG
+    # bytes against the digests in benchmarks/reference.json
+    proc = subprocess.run(
+        [sys.executable, str(RUN_PY), "--workload", workload, "--seconds", "0", "--trace", "0"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["correct"] and summary["failed"] == 0, summary
 
 
 def test_micro_benchmark_outputs_match_their_checks():

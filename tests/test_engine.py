@@ -186,7 +186,8 @@ def test_noise_stream_is_strategy_independent():
 
 # (case, overrides, a delivery (slot, loop, gen) the case must make);
 # FA, FC and UC replay samples from slots up to 9 back, FA/FIFO holds
-# the first sample of loop 7 in a starved buffer for six slots
+# the first sample of loop 7 in a starved buffer for six slots, and UC
+# with a deep queue delivers a sample four blocks of 7 behind its slot
 NOISE_BLOCK_CASES = [
     ("UA", dict(strategy="UA"), None),
     ("FA+TIS", dict(strategy="FA+TIS"), None),
@@ -199,6 +200,7 @@ NOISE_BLOCK_CASES = [
         dict(strategy="FA", policy="FIFO", n_loops=8, tb_capacity=40, deadband=8.0, loss_prob=0.0),
         (6, 7, 0),
     ),
+    ("UC deep queue", dict(strategy="UC", compound_maxlen=50), (59, 3, 29)),
 ]
 
 
@@ -230,10 +232,10 @@ def test_noise_row_blocks_leave_every_field_unchanged(monkeypatch, overrides, de
 
 @pytest.mark.parametrize("tok", ["FA", "UC", "FC"])
 def test_replay_reads_held_inputs_and_the_current_block(monkeypatch, tok):
-    # a delivery from before its block's start replays the loop's held
-    # inputs, then the block's rows; one from inside the block (but
-    # older than its slot) replays the block's rows alone. Both must
-    # occur in blocks of 7, and give the one-block run
+    # replay reads the inputs u_gen..u_t-1 from rows that a block's end
+    # keeps back to the oldest held sample. A delivery from before its
+    # block's start and one from inside the block (but older than its
+    # slot) must both occur in blocks of 7, and give the one-block run
     c = cfg(n_loops=4, deadband=0.4, loss_prob=0.25, horizon=61, warmup=5, seed=13, strategy=tok)
     whole = run(c, record_traces=True)
     monkeypatch.setattr(engine, "BLOCK", 7)
@@ -319,13 +321,23 @@ def test_long_runs_hold_no_more_than_a_warm_up_run():
 # ------------------------------------------------------- conservation
 
 
-@pytest.mark.parametrize("tok", ["UC", "FC", "UA", "FA", "FA+TIS"])
-def test_delivery_conservation_and_monotone_gens(tok):
-    res = run(
-        cfg(n_loops=3, strategy=tok, deadband=0.4, loss_prob=0.3, horizon=300, seed=9),
-        record_traces=True,
-    )
+DELIVERY_CASES = [
+    (tok, policy) for policy in Policy.__members__ for tok in ("UC", "FC", "UA", "FA", "FA+TIS")
+]
+
+
+@pytest.mark.parametrize(
+    "tok,policy",
+    DELIVERY_CASES,
+    ids=[tok if policy == "AOI_COST" else f"{tok}/{policy}" for tok, policy in DELIVERY_CASES],
+)
+def test_delivery_conservation_and_monotone_gens(tok, policy):
+    c = cfg(n_loops=3, strategy=tok, policy=policy, deadband=0.4, loss_prob=0.3, horizon=300, seed=9)
+    res = run(c, record_traces=True)
     assert res.delivered <= res.published
+    assert res.delivered == len(res.delivery_log)  # warmup=0
+    # within a slot, deliveries are logged in loop order
+    assert res.delivery_log == sorted(res.delivery_log)
     per_loop = {}
     for slot, loop, gen in res.delivery_log:
         assert 0 <= gen <= slot
