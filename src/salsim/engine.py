@@ -16,12 +16,12 @@ The slot loop is written for throughput: the controller update of slot
 t and the plant step of slot t+1 share one pass over the loops, after
 which two array.fromlist calls append every loop's input and state to
 the block as one time-major row, atomic ingest and selection under the
-staleness-cost policy are mirrored inline, and freshness age totals are
-integrated from delivery events instead of per-slot counters. Deadband
-semantics follow DeadbandFilter (first sample always admits, strict
-threshold, reference moves only on admission); the filter is inlined
-here and pinned to the reference implementation by the
-filtered-vs-unfiltered equivalence tests.
+staleness-cost policy are mirrored inline, and a delivery adds to its
+loop's age total the move of its newest generation times the measured
+slots left. Deadband semantics follow DeadbandFilter (first sample
+always admits, strict threshold, reference moves only on admission);
+the filter is inlined here and pinned to the reference implementation
+by the filtered-vs-unfiltered equivalence tests.
 
 A run holds the same memory whatever its horizon. Slots go by in the
 lockstep engine's blocks of lockstep.BLOCK (512): each block draws its
@@ -319,11 +319,12 @@ def run(config, erasure_pattern=None, record_traces=False):
     threshold = config.deadband
 
     # Mirrored data path for the default staleness-cost policy: buffer
-    # occupancy, the forward-only delivery anchors and the per-loop cost
-    # tables are tracked inline, and one tiered staleness-cost scan ranks
-    # for UA, FA and FA+TIS. The mirror reproduces the aggregation layer's
-    # selection and the PDU byte accounting bit for bit without building
-    # a PDU (see the pinned run regressions). FIFO and ROUND_ROBIN take
+    # occupancy and the per-loop cost tables are tracked inline, costs are
+    # read at the controllers' delivery anchors (below), and one tiered
+    # staleness-cost scan ranks for UA, FA and FA+TIS. The mirror
+    # reproduces the aggregation layer's selection and the PDU byte
+    # accounting bit for bit without building a PDU (see the pinned run
+    # regressions). FIFO and ROUND_ROBIN take
     # the object path below; compound packets queue in the aggregation
     # layer whatever the policy.
     fast_sal = Policy[config.policy] is Policy.AOI_COST
@@ -360,13 +361,13 @@ def run(config, erasure_pattern=None, record_traces=False):
     fold = PairwiseFold(horizon - warmup, (width,))
     got_gen = [-1] * n
     got_val = [0.0] * n
-    # freshness age integration: per loop, the open segment since the
-    # last delivery (slot of that delivery and the age it reset to);
-    # ages in between rise by one per slot, so each closed segment adds
-    # an arithmetic ramp, clipped to the measured window
-    seg_slot = [-1] * n
-    seg_age = [0] * n
-    area = [0] * n
+    # per loop, the generation of the newest delivered sample (-1 before
+    # the first): the age at slot s is s - anchor, the delta the ranking
+    # reads too. A delivery at slot t moves the age of every measured slot
+    # from t on by one amount, so the age totals start from the ages with
+    # no delivery, (w+1) + ... + h, and each delivery adds its change
+    anchor = [-1] * n
+    area = [(horizon * (horizon + 1) - warmup * (warmup + 1)) // 2] * n
     # deadband reference per loop; +inf admits the first sample
     last_ref = [float("inf")] * n
     trig = [False] * n
@@ -375,7 +376,6 @@ def run(config, erasure_pattern=None, record_traces=False):
     entry_size = PDU_ENTRY_OVERHEAD + value_size
     k_fit = (capacity - PDU_HEADER_SIZE) // entry_size
     down = range(n - 1, -1, -1)
-    anchor = [-1] * n
     a2 = [ai * ai for ai in a]
     s2 = [pl.sigma_w2 for pl in plants]
     g_tab = [[0.0] for _ in range(n)]
@@ -534,14 +534,12 @@ def run(config, erasure_pattern=None, record_traces=False):
                             if ok:
                                 got_gen[i] = g
                                 got_val[i] = buf_val[i]
-                                anchor[i] = g
                     else:
                         occupied -= len(top_id)
                         if ok:
                             for i in top_id:
                                 got_gen[i] = t
                                 got_val[i] = x[i]
-                                anchor[i] = t
             else:
                 if filtering:
                     ingest_flagged(t, x, value_size, trig, tis_on)
@@ -582,20 +580,8 @@ def run(config, erasure_pattern=None, record_traces=False):
                     if gen != t:  # replay the inputs u_gen..u_t-1
                         for uk in rows[(gen - row0) * width + n + i : now : width]:
                             xh = ai * xh + bi * uk
-                    prev = seg_slot[i]
-                    lo = prev + 1
-                    hi = t - 1
-                    if hi >= warmup and hi >= lo:
-                        if lo < warmup:
-                            lo = warmup
-                        first_age = seg_age[i] + (lo - prev)
-                        m = hi - lo + 1
-                        area[i] += m * first_age + (m * (m - 1)) // 2
-                    age_now = t - gen
-                    if t >= warmup:
-                        area[i] += age_now
-                    seg_slot[i] = t
-                    seg_age[i] = age_now
+                    area[i] += (anchor[i] - gen) * (horizon - (t if t > warmup else warmup))
+                    anchor[i] = gen
                 else:
                     xh = ai * x_hat[i] + bi * u[i]
                 x_hat[i] = xh
@@ -641,18 +627,6 @@ def run(config, erasure_pattern=None, record_traces=False):
             del rows[: (keep - row0) * width]
             row0 = keep
 
-    # close each loop's open age segment at the end of the horizon
-    for i in range(n):
-        prev = seg_slot[i]
-        lo = prev + 1
-        hi = horizon - 1
-        if hi >= warmup and hi >= lo:
-            if lo < warmup:
-                lo = warmup
-            first_age = seg_age[i] + (lo - prev)
-            m = hi - lo + 1
-            area[i] += m * first_age + (m * (m - 1)) // 2
-
     squared = fold.total().tolist()
     base = counters_base
     discards = replaced_local + _sal_discards(handler, reader) - base[5]
@@ -675,13 +649,12 @@ def run(config, erasure_pattern=None, record_traces=False):
             by_loop[mid][slot] = gen
         traces = []
         for i in range(n):
-            lookup = by_loop[i].get
-            age = 0
+            newest = by_loop[i].get
+            gen = -1
             trace = []
             for slot in range(horizon):
-                gen = lookup(slot)
-                age = slot - gen if gen is not None else age + 1
-                trace.append(age)
+                gen = newest(slot, gen)
+                trace.append(slot - gen)
             traces.append(trace)
 
     return _result(config, strat, plants, totals, traces, delivery_log)

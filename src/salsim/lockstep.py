@@ -16,9 +16,10 @@ How the scalar engine's sequential parts map onto arrays:
   seed that has skipped the normals (link_stream_state, memoised, so the
   cells of one loop count share the skip).
 - Staleness ranking. Cost tables g(d+1) = a^2 g(d) + sigma_w2 are
-  shared by the cell and grown on demand. The top k are taken by k
-  rounds of argmax, which returns the first maximum, so the lower id
-  wins cost ties as in the scan.
+  shared by the cell and grown on demand by plant.staleness_cost, the
+  scan's own recursion. The top k are taken by k rounds of argmax,
+  which returns the first maximum, so the lower id wins cost ties as in
+  the scan.
 - Estimator replay. Rolling a delivered sample from its generation slot
   to now is the recursion xh = a xh + b u over the inputs applied in
   between. Instead of replaying at delivery, every held sample (a
@@ -41,6 +42,7 @@ import numpy as np
 
 from .channel import fragment_layout
 from .mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE
+from .plant import staleness_cost
 
 BLOCK = 512  # slots per block of random draws and stage-cost folding, in both engines
 
@@ -242,9 +244,9 @@ class _Atomic(_Link):
         self.k = min((self.capacity - PDU_HEADER_SIZE) // self.entry_size, n)
         self.tis = strat.tis
         self.buffered = strat.filtered and not strat.tis  # FA: may hold old samples
-        self.a2 = np.array([pl.a * pl.a for pl in plants])
-        self.s2 = np.array([pl.sigma_w2 for pl in plants])
-        self.table = np.zeros((n, 1))
+        self.a2 = [pl.a * pl.a for pl in plants]
+        self.s2 = [pl.sigma_w2 for pl in plants]
+        self.tables = [[0.0] for _ in range(n)]  # plant.staleness_cost tables
         self.prev_sel = np.full(runs, n)  # no buffer is occupied before slot 0
         if self.buffered:
             self.held = np.zeros((runs, n), dtype=bool)
@@ -256,17 +258,16 @@ class _Atomic(_Link):
         self.sel_rec = np.empty((rows, self.runs, n), dtype=bool)
         if self.buffered:
             self.replaced_rec = np.empty((rows, self.runs, n), dtype=bool)
-        # the cost tables must reach every age this block can see
-        table = self.table
+        # the cost tables must reach every age this block can see; the
+        # first block always grows them, as its ages reach at least 1
+        tables = self.tables
         size = int(age.max()) + rows + 1
-        if size > table.shape[1]:
-            grown = np.empty((n, max(size, 2 * table.shape[1])))
-            grown[:, : table.shape[1]] = table
-            for d in range(table.shape[1], grown.shape[1]):
-                grown[:, d] = self.a2 * grown[:, d - 1] + self.s2
-            self.table = table = grown
-        self.flat_table = table.ravel()
-        self.row_base = np.arange(n) * table.shape[1]
+        if size > len(tables[0]):
+            size = max(size, 2 * len(tables[0]))
+            for table, a2, s2 in zip(tables, self.a2, self.s2):
+                staleness_cost(table, a2, s2, size - 1)
+            self.flat_table = np.array(tables).ravel()
+            self.row_base = np.arange(n) * size
 
     def step(self, j, t, x, trig, age, ok):
         cost = self.flat_table[age + self.row_base]
@@ -445,9 +446,7 @@ def run_lockstep(configs, strat, plants, neg_gain):
     triggered = np.zeros(runs, dtype=np.int64)
     trig = np.ones((runs, n), dtype=bool)  # unfiltered: every loop admits
     if filtering:
-        last_ref = np.full((runs, n), np.inf)
-        trig = np.abs(x - last_ref) > threshold
-        np.putmask(last_ref, trig, x)
+        last_ref = np.full((runs, n), np.inf)  # +inf admits the first sample
 
     slots = horizon - warmup
     fold = PairwiseFold(slots, (runs, 2 * n))
@@ -470,7 +469,11 @@ def run_lockstep(configs, strat, plants, neg_gain):
                 xu[j, :, :n] = x
                 age += 1
                 if filtering:
-                    trig_rec[j] = trig
+                    trig = trig_rec[j]
+                    dev = x - last_ref
+                    np.abs(dev, out=dev)
+                    np.greater(dev, threshold, out=trig)
+                    np.putmask(last_ref, trig, x)
                 got = link.step(j, t, x, trig, age, arrives[j])
 
                 # --------- controller update for t, plant step for t+1
@@ -487,11 +490,6 @@ def run_lockstep(configs, strat, plants, neg_gain):
                 x += bu
                 x += noise[j]
                 link.replay(a, bu)
-                if filtering:
-                    dev = x - last_ref
-                    np.abs(dev, out=dev)
-                    trig = dev > threshold
-                    np.putmask(last_ref, trig, x)
 
             window = slice(max(warmup - start, 0), rows)
             fold.extend(np.square(xu[window]))

@@ -246,6 +246,21 @@ class DataHandler:
 
     # ------------------------------------------------------- selection
 
+    def _keys(self, now):
+        """The policy's ranking key per id, lowest first: arrival sequence
+        (FIFO), cyclic distance from the cursor (ROUND_ROBIN) or negated
+        staleness cost of occupied ids (AOI_COST)."""
+        gen = self._gen
+        if self.policy is Policy.FIFO:
+            return self._seq
+        if self.policy is Policy.ROUND_ROBIN:
+            start = self._rr_next
+            return [(i - start) % len(gen) for i in range(len(gen))]
+        return [
+            -staleness_cost(table, a2, s2, now - anchor) if g >= 0 else None
+            for g, anchor, table, a2, s2 in zip(gen, self._anchor, self._g_tables, self._a2, self._s2)
+        ]
+
     def _candidates(self, now):
         """Occupied ids in selection order; the sort-based reference ranking.
 
@@ -255,17 +270,10 @@ class DataHandler:
         """
         gen = self._gen
         admitted = self._admitted
-        if self.policy is Policy.AOI_COST:
-            anchor = self._anchor
-            key = lambda i: -self._staleness_cost(i, now - anchor[i])
-        elif self.policy is Policy.FIFO:
-            key = self._seq.__getitem__
-        else:
-            start = self._rr_next
-            key = lambda i: (i - start) % len(gen)
+        keys = self._keys(now)
         return sorted(
             (i for i in range(len(gen)) if gen[i] >= 0 and (admitted[i] or self.tis_enabled)),
-            key=lambda i: (not admitted[i], key(i), i),
+            key=lambda i: (not admitted[i], keys[i], i),
         )
 
     def _take(self, mdu_id):
@@ -328,21 +336,15 @@ class DataHandler:
     def _top_k_order(self, k, now):
         """Ids of the k best-ranked candidates, admitted tier first.
 
-        A running scan with one ordered shortlist per tier over one key
-        per id: the arrival sequence number under FIFO, the negated
-        staleness cost under AOI_COST. A candidate that cannot beat the
-        worst shortlisted key is rejected in one compare, and key ties
-        keep the earlier (lower) id by rejecting non-strict improvements.
+        A running scan with one ordered shortlist per tier over the
+        policy's keys (_keys). A candidate that cannot beat the worst
+        shortlisted key is rejected in one compare, and key ties keep the
+        earlier (lower) id by rejecting non-strict improvements.
         """
         gen = self._gen
         admitted = self._admitted
         tis = self.tis_enabled
-        if self.policy is Policy.FIFO:
-            seq = self._seq
-        else:
-            seq = None
-            anchor = self._anchor
-            tables = self._g_tables
+        keys = self._keys(now)
         adm_key = []
         adm_id = []
         sup_key = []
@@ -360,15 +362,7 @@ class DataHandler:
                 tier_id = sup_id
             else:
                 continue
-            if seq is not None:
-                key = seq[i]
-            else:
-                delta = now - anchor[i]
-                table = tables[i]
-                if delta < len(table):
-                    key = -table[delta]
-                else:
-                    key = -self._staleness_cost(i, delta)
+            key = keys[i]
             if len(tier_key) == k:
                 if key >= tier_key[-1]:
                     continue

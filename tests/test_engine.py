@@ -361,6 +361,63 @@ def test_age_recurrence_consistent_with_deliveries(tok):
             assert res.aoi_trace[loop][slot] == d
 
 
+def assert_age_totals_match_traces(res, warmup):
+    traces = res.aoi_trace
+    slots = len(traces[0]) - warmup
+    for loop, trace in enumerate(traces):
+        assert res.per_loop_aoi[loop] == sum(trace[warmup:]) / slots
+    assert res.mean_aoi == sum(sum(trace[warmup:]) for trace in traces) / (len(traces) * slots)
+
+
+AGE_HORIZON = 120
+AGE_TOTAL_CASES = [
+    (tok, policy, warmup)
+    for tok in ("UC", "FC", "UA", "FA", "FA+TIS")
+    for policy in Policy.__members__
+    for warmup in (0, 37, AGE_HORIZON - 1)
+]
+
+
+@pytest.mark.parametrize("tok,policy,warmup", AGE_TOTAL_CASES)
+def test_age_totals_equal_the_traced_ages(tok, policy, warmup):
+    c = cfg(
+        n_loops=3,
+        strategy=tok,
+        policy=policy,
+        deadband=0.4,
+        loss_prob=0.3,
+        horizon=AGE_HORIZON,
+        warmup=warmup,
+        seed=5,
+    )
+    assert_age_totals_match_traces(run(c, record_traces=True), warmup)
+
+
+@pytest.mark.parametrize("tok", ["UC", "FC", "UA", "FA", "FA+TIS"])
+def test_age_totals_without_any_delivery(tok):
+    res = run(cfg(n_loops=2, strategy=tok, loss_prob=1.0, horizon=60, warmup=20), record_traces=True)
+    assert res.delivery_log == []
+    assert res.aoi_trace == [list(range(1, 61))] * 2
+    assert_age_totals_match_traces(res, 20)
+
+
+@pytest.mark.parametrize(
+    "delivered,trace",
+    [
+        ([4], [1, 2, 3, 4, 0, 1, 2, 3, 4, 5]),
+        ([2], [1, 2, 0, 1, 2, 3, 4, 5, 6, 7]),
+        ([2, 4], [1, 2, 0, 1, 0, 1, 2, 3, 4, 5]),
+    ],
+    ids=["at-warmup", "before-warmup", "both"],
+)
+def test_age_totals_around_the_warmup_slot(delivered, trace):
+    # the warm-up window ends at slot 4; only the scripted slots deliver
+    pattern = [slot not in delivered for slot in range(10)]
+    res = run(cfg(horizon=10, warmup=4, loss_prob=0.5), erasure_pattern=pattern, record_traces=True)
+    assert res.aoi_trace == [trace]
+    assert_age_totals_match_traces(res, 4)
+
+
 def test_per_packet_loss_keeps_fragmented_packets_whole():
     # 3 loops => 85-byte compound packets => 2 fragments each; erase
     # every second block: block fates void every packet, packet fates
