@@ -278,9 +278,7 @@ def run(config, erasure_pattern=None, record_traces=False):
     and a (slot, loop, sample_time) log of controller deliveries, which
     lists each slot's deliveries in loop order.
     """
-    config.validate()
-    strat = config.resolved_strategy()
-    plants = config.make_plants()
+    strat, plants, neg_gain = _prepare(config)
     n = config.n_loops
     horizon = config.horizon
     warmup = config.warmup
@@ -294,10 +292,6 @@ def run(config, erasure_pattern=None, record_traces=False):
 
     a = [pl.a for pl in plants]
     b = [pl.b for pl in plants]
-    try:
-        neg_gain = [_neg_gain(pl.a, pl.b, pl.q, pl.r) for pl in plants]
-    except RiccatiError as exc:
-        raise _no_gain(exc) from None
 
     # the seed's stream holds one normal per loop per slot (one spare row
     # feeds the loop-fused plant step past the horizon), then one uniform
@@ -693,8 +687,16 @@ def _neg_gain(a, b, q, r):
     return -solve_riccati(a, b, q, r)[1]
 
 
-def _no_gain(exc):
-    return ConfigError(f"no stationary LQR gain for these plants: {exc}")
+def _prepare(config):
+    """Validate config; return its strategy, its plants and each plant's -L."""
+    config.validate()
+    strat = config.resolved_strategy()
+    plants = config.make_plants()
+    try:
+        neg_gain = [_neg_gain(pl.a, pl.b, pl.q, pl.r) for pl in plants]
+    except RiccatiError as exc:
+        raise ConfigError(f"no stationary LQR gain for these plants: {exc}") from None
+    return strat, plants, neg_gain
 
 
 def _sal_discards(handler, reader):
@@ -760,6 +762,8 @@ def sweep(base, n_values, strategy_tokens, jobs=1):
     canonical order, then seeds base.seed .. base.seed+repetitions-1.
     base.tis upgrades plain FA tokens to FA+TIS.
     """
+    if type(jobs) is not int:  # bools are ints too
+        raise ConfigError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     sizes = list(n_values)
@@ -831,16 +835,11 @@ def run_cell(configs):
             raise ConfigError("a sweep cell's configs may differ only by seed")
     if not _takes_lockstep(configs):
         return [run(config) for config in configs]
-    first.validate()  # the cell differs only by seed, so check only the later seeds
+    strat, plants, neg_gain = _prepare(first)
+    # the cell differs only by seed, so check only the later seeds
     for config in configs[1:]:
         if type(config.seed) is not int or config.seed < 0:
             config.validate()  # raises validate()'s own ConfigError
-    strat = first.resolved_strategy()
-    plants = first.make_plants()
-    try:
-        neg_gain = [_neg_gain(pl.a, pl.b, pl.q, pl.r) for pl in plants]
-    except RiccatiError as exc:
-        raise _no_gain(exc) from None
     done = run_lockstep(configs, strat, plants, neg_gain)
     return [_result(config, strat, plants, totals) for config, totals in zip(configs, done)]
 

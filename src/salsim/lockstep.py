@@ -109,7 +109,7 @@ class PairwiseFold:
         self._shape = tuple(shape)
         self._time_last = (*range(1, len(self._shape) + 1), 0)
         self._cap = min(length, FOLD_CAP)
-        self._buf = None
+        self._buf = np.empty(self._shape + (self._cap,))
         self._fill = 0
         self._stack = []
 
@@ -117,20 +117,13 @@ class PairwiseFold:
         """Append block[0], block[1], ... (time runs along axis 0)."""
         values = block.transpose(self._time_last)
         size = values.shape[-1]
-        contiguous = values.strides[-1] == values.itemsize
         at = 0
         while at < size:
             if not self._node:
                 raise ValueError("the fold has received more than its length")
             take = min(self._node - self._fill, size - at)
-            part = values if take == size else values[..., at : at + take]
+            self._buf[..., self._fill : self._fill + take] = values[..., at : at + take]
             at += take
-            if take == self._node and contiguous:
-                self._close(part)
-                continue
-            if self._buf is None:
-                self._buf = np.empty(self._shape + (self._cap,))
-            self._buf[..., self._fill : self._fill + take] = part
             self._fill += take
             if self._fill == self._node:
                 self._close(self._buf[..., : self._node])

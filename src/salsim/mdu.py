@@ -13,6 +13,7 @@ any non-zero byte in the padding region.
 """
 
 import struct
+from dataclasses import dataclass
 
 PDU_VERSION = 0x01
 PDU_HEADER_SIZE = 2
@@ -33,48 +34,21 @@ class MalformedPduError(Exception):
     """Raised when a PDU buffer cannot be decoded."""
 
 
+@dataclass(slots=True)
 class Mdu:
     """One minimal data unit: id, generation slot and opaque payload."""
 
-    __slots__ = ("id", "gen_time", "payload")
-
-    def __init__(self, id, gen_time, payload):
-        self.id = id
-        self.gen_time = gen_time
-        self.payload = payload
-
-    def __eq__(self, other):
-        if not isinstance(other, Mdu):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.gen_time == other.gen_time
-            and self.payload == other.payload
-        )
-
-    def __repr__(self):
-        return f"Mdu(id={self.id}, gen_time={self.gen_time}, payload={self.payload!r})"
+    id: int
+    gen_time: int
+    payload: bytes
 
 
+@dataclass(slots=True)
 class SalPdu:
     """An ordered list of MDU entries plus trailing zero padding."""
 
-    __slots__ = ("entries", "padding_bytes")
-
-    def __init__(self, entries, padding_bytes=0):
-        self.entries = entries
-        self.padding_bytes = padding_bytes
-
-    def __eq__(self, other):
-        if not isinstance(other, SalPdu):
-            return NotImplemented
-        return (
-            self.entries == other.entries
-            and self.padding_bytes == other.padding_bytes
-        )
-
-    def __repr__(self):
-        return f"SalPdu({self.entries!r}, padding_bytes={self.padding_bytes})"
+    entries: list
+    padding_bytes: int = 0
 
 
 def pdu_size(pdu):

@@ -6,9 +6,10 @@ and floats printed with nine significant digits, so identical result
 tables serialize to identical bytes. Rows are kept in canonical order:
 loop count ascending, strategy in declaration order, seed ascending.
 
-Config files are flat `key = value` text with full-line comments; the
-accepted key set is fixed and anything else is an error, which keeps
-typos from silently running the defaults.
+Config files are flat `key = value` text with full-line comments. One
+key table names the accepted vocabulary and SimConfig's annotations give
+each value its type. Any other key is an error, which keeps typos from
+silently running the defaults.
 
 Plots are written as standalone SVG by hand. A plotting library would
 be less code, but matplotlib embeds generated ids and version strings
@@ -16,7 +17,9 @@ in its SVG output, and byte-identical artifacts for identical inputs
 are part of the contract here.
 """
 
+import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +64,12 @@ def _fmt(value):
     return "%.9g" % value
 
 
+# the CSV columns follow CsvRow's fields and take their types from it
+_CSV_TYPES = tuple(CsvRow.__annotations__.values())
+_CSV_FORMATS = tuple(_fmt if kind is float else str for kind in _CSV_TYPES)
+_csv_values = operator.attrgetter(*CsvRow._fields)
+
+
 def write_csv(table, path):
     """Write run results (anything with the CsvRow fields) to `path`."""
     rows = sorted(
@@ -71,20 +80,7 @@ def write_csv(table, path):
         raise ValueError("refusing to write an empty results table")
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(r.n_loops),
-                    r.strategy,
-                    str(r.seed),
-                    _fmt(r.mean_aoi),
-                    _fmt(r.mean_lqg),
-                    _fmt(r.padding_fraction),
-                    _fmt(r.trigger_rate),
-                    str(r.discards),
-                )
-            )
-        )
+        lines.append(",".join([fmt(v) for fmt, v in zip(_CSV_FORMATS, _csv_values(r))]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -104,18 +100,7 @@ def parse_csv_text(text):
         if parts[1] not in STRATEGY_ORDER:
             raise ParseError(f"line {num}: unknown strategy {parts[1]!r}")
         try:
-            rows.append(
-                CsvRow(
-                    int(parts[0]),
-                    parts[1],
-                    int(parts[2]),
-                    float(parts[3]),
-                    float(parts[4]),
-                    float(parts[5]),
-                    float(parts[6]),
-                    int(parts[7]),
-                )
-            )
+            rows.append(CsvRow._make([kind(p) for kind, p in zip(_CSV_TYPES, parts)]))
         except ValueError as exc:
             raise ParseError(f"line {num}: {exc}") from None
     if not rows:
@@ -130,15 +115,14 @@ def read_csv(path):
 
 # ------------------------------------------------------------- config
 
-_INT_KEYS = ("n_loops", "horizon", "tb_capacity", "seed", "repetitions", "warmup")
-_FLOAT_KEYS = {
-    "loss_prob": "loss_prob",
-    "deadband": "deadband",
-    "plant.a_min": "a_min",
-    "plant.a_max": "a_max",
-    "sigma_w2": "sigma_w2",
-    "q": "q",
-    "r": "r",
+# config-file key -> SimConfig field; the plant poles sit under plant.
+_CONFIG_KEYS = {
+    key: key.removeprefix("plant.")
+    for key in (
+        "n_loops", "horizon", "strategy", "loss_prob", "tb_capacity", "deadband",
+        "seed", "repetitions", "plant.a_min", "plant.a_max", "sigma_w2", "q", "r",
+        "tis", "policy", "warmup",
+    )
 }
 _BOOL_TOKENS = {
     "true": True,
@@ -148,7 +132,14 @@ _BOOL_TOKENS = {
     "0": False,
     "no": False,
 }
-_STR_KEYS = ("strategy", "policy")
+# a field's annotation -> (value parser, what the error says it expects)
+_PARSERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: (lambda value: _BOOL_TOKENS[value.lower()], "a boolean"),
+    str: (str, "a string"),
+}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig)}
 
 
 def parse_config_text(text):
@@ -163,31 +154,16 @@ def parse_config_text(text):
             raise ConfigValueError(f"line {num}: expected key = value, got {line!r}")
         key = key.strip()
         value = value.strip()
-        if key in _INT_KEYS:
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ConfigValueError(
-                    f"line {num}: {key} expects an integer, got {value!r}"
-                ) from None
-        elif key in _FLOAT_KEYS:
-            try:
-                fields[_FLOAT_KEYS[key]] = float(value)
-            except ValueError:
-                raise ConfigValueError(
-                    f"line {num}: {key} expects a number, got {value!r}"
-                ) from None
-        elif key == "tis":
-            try:
-                fields[key] = _BOOL_TOKENS[value.lower()]
-            except KeyError:
-                raise ConfigValueError(
-                    f"line {num}: {key} expects a boolean, got {value!r}"
-                ) from None
-        elif key in _STR_KEYS:
-            fields[key] = value
-        else:
+        name = _CONFIG_KEYS.get(key)
+        if name is None:
             raise ConfigKeyError(f"line {num}: unknown key {key!r}")
+        parse, expects = _PARSERS[_FIELD_TYPES[name]]
+        try:
+            fields[name] = parse(value)
+        except (ValueError, KeyError):
+            raise ConfigValueError(
+                f"line {num}: {key} expects {expects}, got {value!r}"
+            ) from None
     return SimConfig(**fields).validate()
 
 

@@ -517,6 +517,17 @@ def test_sweep_asks_for_no_more_workers_than_tasks(monkeypatch):
     assert asked == [4, 3]
 
 
+@pytest.mark.parametrize("jobs", [2.5, True, "2"])
+def test_sweep_rejects_a_jobs_that_is_not_an_integer(monkeypatch, jobs):
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(ConfigError, match="jobs must be an integer"):
+        sweep(cfg(horizon=20, repetitions=2), [1], ["UA", "FA"], jobs=jobs)
+
+
 def test_import_loads_no_process_pool():
     # only sweep(jobs > 1) needs concurrent.futures and multiprocessing
     probe = "import sys, salsim; print('concurrent.futures' in sys.modules)"
@@ -665,6 +676,13 @@ def test_riccati_failure_is_a_config_error(q):
     # a finite but extreme weight overflows the fixed-point iteration
     with pytest.raises(ConfigError, match="no stationary LQR gain"):
         run(cfg(q=q, a_min=1.2, a_max=1.2))
+
+
+def test_a_gain_failure_is_reported_before_a_short_erasure_pattern():
+    # the set-up run() shares with run_cell() solves the gains before run()
+    # checks the pattern's length
+    with pytest.raises(ConfigError, match="no stationary LQR gain"):
+        run(cfg(q=1e300, a_min=1.2, a_max=1.2), erasure_pattern=[False])
 
 
 def test_large_state_weight_gets_a_gain():

@@ -283,8 +283,8 @@ def test_pairwise_fold_nodes_around_the_cap_and_blocks_across_nodes(shape):
 
 
 def test_pairwise_fold_sums_contiguous_and_strided_blocks_alike():
-    # time-major blocks are copied into a node buffer, blocks whose time
-    # axis is contiguous in memory are summed where they lie
+    # every block is copied into the node buffer, whatever the memory
+    # layout of its time axis
     rng = np.random.default_rng(9)
     series = mixed_magnitudes(rng, (4, 3 * FOLD_CAP + 7))
     want = [float(np.sum(row)) for row in series]

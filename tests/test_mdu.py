@@ -31,6 +31,22 @@ def test_version_constant():
     assert PDU_ENTRY_OVERHEAD == 8
 
 
+def test_records_compare_field_by_field_within_their_own_class():
+    mdu = Mdu(1, 2, b"x")
+    assert mdu == Mdu(1, 2, b"x")
+    assert mdu != Mdu(1, 2, b"y")
+    assert mdu != (1, 2, b"x")
+    pdu = SalPdu([mdu], 3)
+    assert pdu == SalPdu([Mdu(1, 2, b"x")], 3)
+    assert pdu != SalPdu([Mdu(1, 3, b"x")], 3)
+    assert pdu != SalPdu([mdu], 4)
+    assert pdu != ([mdu], 3)
+    with pytest.raises(TypeError):
+        hash(mdu)
+    with pytest.raises(TypeError):
+        hash(pdu)
+
+
 def test_empty_pdu_is_two_bytes():
     assert serialize_pdu(SalPdu([], 0)) == b"\x01\x00"
 

@@ -6,9 +6,11 @@ re-parse identity at nine significant digits, and structural counts
 for the renderer.
 """
 
+import dataclasses
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +218,45 @@ def test_config_unparsable_values():
         parse_config_text("n_loops = 2.5\n")
     with pytest.raises(ConfigValueError):
         parse_config_text("horizon ten thousand\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("n_loops = 2.5", "line 1: n_loops expects an integer, got '2.5'"),
+        ("loss_prob = banana", "line 1: loss_prob expects a number, got 'banana'"),
+        ("tis = maybe", "line 1: tis expects a boolean, got 'maybe'"),
+        ("plant.a_min = x", "line 1: plant.a_min expects a number, got 'x'"),
+    ],
+)
+def test_config_value_errors_name_the_key_as_written(line, message):
+    with pytest.raises(ConfigValueError) as err:
+        parse_config_text(line + "\n")
+    assert str(err.value) == message
+
+
+def _readme_config_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\S+) +\| (\S+) +\|", section, flags=re.M)
+    return dict(rows[1:])  # the first row is the header
+
+
+def test_readme_config_table_names_the_parsers_keys_and_defaults():
+    documented = _readme_config_table()
+    # every key the parser could plausibly take: each field, bare or under plant.
+    defaults = dataclasses.asdict(SimConfig())
+    accepted = set()
+    for name, value in defaults.items():
+        for key in (name, "plant." + name):
+            try:
+                parse_config_text(f"{key} = {value}\n")
+            except ConfigKeyError:
+                continue
+            accepted.add(key)
+    assert set(documented) == accepted
+    text = "".join(f"{key} = {default}\n" for key, default in documented.items())
+    assert parse_config_text(text) == SimConfig()
 
 
 def test_config_error_messages_name_the_line():
