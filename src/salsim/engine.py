@@ -55,7 +55,6 @@ import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import fmean
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -122,12 +121,8 @@ class SimConfig:
     def resolved_strategy(self):
         try:
             strat = parse_strategy(self.strategy)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.tis:
-            strat = StrategyConfig(strat.kind, True)
-        try:
-            strat.validate()
+            if self.tis:
+                strat = StrategyConfig(strat.kind, True).validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return strat
@@ -136,8 +131,9 @@ class SimConfig:
         if self.plants is not None:
             made = list(self.plants)
         else:
+            sigma_w2, q, r = self.sigma_w2, self.q, self.r
             made = [
-                PlantParams(a=ai, b=1.0, sigma_w2=self.sigma_w2, q=self.q, r=self.r)
+                PlantParams(ai, 1.0, sigma_w2, q, r)
                 for ai in _linspace(self.a_min, self.a_max, self.n_loops)
             ]
         for plant in made:
@@ -202,7 +198,7 @@ class SimConfig:
                     f"a full compound packet of {packed} bytes needs more "
                     f"than 255 fragments at tb_capacity {self.tb_capacity}"
                 )
-        if self.policy not in Policy.__members__:
+        if self.policy not in _POLICY_NAMES:
             raise ConfigError(f"unknown selection policy {self.policy!r}")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ConfigError(f"loss_prob must lie in [0, 1], got {self.loss_prob}")
@@ -211,16 +207,22 @@ class SimConfig:
                 f"tb_capacity must exceed the {FRAGMENT_HEADER_SIZE} byte "
                 f"fragment header, got {self.tb_capacity}"
             )
-        if self.plants is not None and len(self.plants) != self.n_loops:
-            raise ConfigError(
-                f"{len(self.plants)} plants supplied for n_loops={self.n_loops}"
-            )
-        if self.plants is None and self.a_min > self.a_max:
-            raise ConfigError(f"a_min {self.a_min} exceeds a_max {self.a_max}")
+        plants = self.plants
+        if plants is None:
+            if self.a_min > self.a_max:
+                raise ConfigError(f"a_min {self.a_min} exceeds a_max {self.a_max}")
+        elif not isinstance(plants, (list, tuple)):
+            raise ConfigError(f"plants must be a list of PlantParams, got {plants!r}")
+        elif len(plants) != self.n_loops:
+            raise ConfigError(f"{len(plants)} plants supplied for n_loops={self.n_loops}")
+        elif not all(isinstance(plant, PlantParams) for plant in plants):
+            raise ConfigError(f"plants must be a list of PlantParams, got {plants!r}")
         try:
             self.make_plants()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        except TypeError as exc:  # a plant parameter that is not a number
+            raise ConfigError(f"plants must have numeric parameters: {exc}") from None
         return self
 
 
@@ -232,6 +234,7 @@ _EXACT_TYPES = [f.type for f in dataclasses.fields(SimConfig) if f.type in _TYPE
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type is float]
 _exact_values = operator.attrgetter(*_EXACT_FIELDS)
 _float_values = operator.attrgetter(*_FLOAT_FIELDS)
+_POLICY_NAMES = frozenset(Policy.__members__)
 # every field but the seed, which is all a sweep cell's configs may share
 _cell_values = operator.attrgetter(
     *[f.name for f in dataclasses.fields(SimConfig) if f.name != "seed"]
@@ -303,7 +306,7 @@ def run(config, erasure_pattern=None, record_traces=False):
         rng, link_rng = seed_streams(config.seed, n, horizon, block)
     else:
         rng = np.random.default_rng(config.seed)
-    scale = np.sqrt([pl.sigma_w2 for pl in plants])
+    scale = [math.sqrt(pl.sigma_w2) for pl in plants]  # correctly rounded, as np.sqrt
     noise = _noise_rows(rng, block + 1, scale)
     row = noise.pop(0)
 
@@ -321,7 +324,8 @@ def run(config, erasure_pattern=None, record_traces=False):
     # regressions). FIFO and ROUND_ROBIN take
     # the object path below; compound packets queue in the aggregation
     # layer whatever the policy.
-    fast_sal = Policy[config.policy] is Policy.AOI_COST
+    policy = Policy[config.policy]
+    fast_sal = policy is Policy.AOI_COST
     handler = reader = None
     if compound_mode or not fast_sal:
         session = SessionHandler()
@@ -329,7 +333,7 @@ def run(config, erasure_pattern=None, record_traces=False):
             session.subscribe(session.register(f"loop/{i}"), i)
         handler = DataHandler(
             session,
-            policy=Policy[config.policy],
+            policy=policy,
             gains=[(pl.a, pl.sigma_w2) for pl in plants],
             tis_enabled=strat.tis,
             compound_maxlen=config.compound_maxlen,
@@ -597,8 +601,10 @@ def run(config, erasure_pattern=None, record_traces=False):
         end = s + size
         lo = max(warmup, s)
         if lo < end:
-            squares = np.square(np.frombuffer(rows)[(lo - row0) * width : (end - row0) * width])
-            fold.extend(squares.reshape(end - lo, width))
+            # squares of the rows of slots lo..end-1, read through a view
+            # that no name keeps: rows cannot be resized while viewed
+            window = ((end - lo, width), "d", rows, (lo - row0) * width * rows.itemsize)
+            fold.extend(np.square(np.ndarray(*window)))
         if end < horizon:
             # rows go back to the oldest generation that a later slot can
             # still deliver (the packet on the wire is older than every
@@ -622,19 +628,15 @@ def run(config, erasure_pattern=None, record_traces=False):
             row0 = keep
 
     squared = fold.total().tolist()
-    base = counters_base
-    discards = replaced_local + _sal_discards(handler, reader) - base[5]
-    totals = RunTotals(
-        area=area,
-        x_sq=squared[:n],
-        u_sq=squared[n:],
-        blocks=blocks - base[0],
-        padding=pad_total - base[1],
-        triggered=triggered_total - base[2],
-        published=published_total - base[3],
-        delivered=delivered_total - base[4],
-        discards=discards,
+    counters = (
+        blocks,
+        pad_total,
+        triggered_total,
+        published_total,
+        delivered_total,
+        replaced_local + _sal_discards(handler, reader),
     )
+    totals = RunTotals(area, squared[:n], squared[n:], *map(operator.sub, counters, counters_base))
 
     traces = None
     if record_traces:
@@ -717,28 +719,14 @@ def _result(config, strat, plants, totals, aoi_trace=None, delivery_log=None):
     """RunResult from what a run accumulated over its measured window."""
     n = config.n_loops
     slots = config.horizon - config.warmup
-    per_loop_lqg = [
-        (pl.q * x_sq + pl.r * u_sq) / slots
-        for pl, x_sq, u_sq in zip(plants, totals.x_sq, totals.u_sq)
-    ]
-    capacity = config.tb_capacity
-    return RunResult(
-        n_loops=n,
-        strategy=strategy_label(strat),
-        seed=config.seed,
-        mean_aoi=sum(totals.area) / (n * slots),
-        mean_lqg=sum(per_loop_lqg) / n,
-        per_loop_aoi=tuple(s / slots for s in totals.area),
-        per_loop_lqg=tuple(per_loop_lqg),
-        padding_fraction=(
-            totals.padding / (capacity * totals.blocks) if totals.blocks else 0.0
-        ),
-        trigger_rate=totals.triggered / (n * slots),
-        discards=totals.discards,
-        published=totals.published,
-        delivered=totals.delivered,
-        aoi_trace=aoi_trace,
-        delivery_log=delivery_log,
+    area, x_sq, u_sq, blocks, padding, triggered, published, delivered, discards = totals
+    per_loop_lqg = [(pl.q * xs + pl.r * us) / slots for pl, xs, us in zip(plants, x_sq, u_sq)]
+    return RunResult(  # positional, in field order
+        n, strategy_label(strat), config.seed,
+        sum(area) / (n * slots), sum(per_loop_lqg) / n,
+        tuple([s / slots for s in area]), tuple(per_loop_lqg),
+        padding / (config.tb_capacity * blocks) if blocks else 0.0, triggered / (n * slots),
+        discards, published, delivered, aoi_trace, delivery_log,
     )
 
 
@@ -859,18 +847,20 @@ def summarize(results):
         rows = groups[key]
         aoi = [r.mean_aoi for r in rows]
         lqg = [r.mean_lqg for r in rows]
+        # statistics.fmean's arithmetic; importing statistics loads fractions and decimal
+        count = len(rows)
         out.append(
             SummaryRow(
                 n_loops=key[0],
                 strategy=key[1],
-                aoi_mean=fmean(aoi),
+                aoi_mean=math.fsum(aoi) / count,
                 aoi_min=min(aoi),
                 aoi_max=max(aoi),
-                lqg_mean=fmean(lqg),
+                lqg_mean=math.fsum(lqg) / count,
                 lqg_min=min(lqg),
                 lqg_max=max(lqg),
-                padding_mean=fmean(r.padding_fraction for r in rows),
-                trigger_mean=fmean(r.trigger_rate for r in rows),
+                padding_mean=math.fsum(r.padding_fraction for r in rows) / count,
+                trigger_mean=math.fsum(r.trigger_rate for r in rows) / count,
             )
         )
     return out

@@ -70,12 +70,14 @@ class RunTotals(NamedTuple):
 # ----------------------------------------------------------- reduction
 
 
+@lru_cache(maxsize=64)
 def _pairwise_nodes(length):
     """numpy's pairwise-sum tree over `length` values, cut at FOLD_CAP.
 
-    Returns [node_length, merges] pairs in order: the nodes of at most
+    Returns (node_length, merges) pairs in order: the nodes of at most
     FOLD_CAP values that the tree's splits reach first, each with the
     count of subtree sums that complete once that node is added.
+    Memoized, as every run folds its measured window.
     """
     plan = []
 
@@ -90,7 +92,7 @@ def _pairwise_nodes(length):
         plan[-1][1] += 1
 
     split(length)
-    return plan
+    return tuple(map(tuple, plan))
 
 
 class PairwiseFold:
@@ -100,33 +102,38 @@ class PairwiseFold:
     bit for every element's series. np.sum over a contiguous last axis
     sums each row in numpy's pairwise order, so each node of that tree
     of at most FOLD_CAP values is one np.sum, and node sums merge in the
-    tree's order. Only one node of values is held at a time.
+    tree's order. Each block is copied, time last, into a buffer of one
+    node, which is summed once it holds the whole node; only one node of
+    values is held at a time.
     """
+
+    __slots__ = ("_plan", "_node", "_merges", "_time_last", "_buf", "_fill", "_stack")
 
     def __init__(self, length, shape):
         self._plan = iter(_pairwise_nodes(length))
         self._node, self._merges = next(self._plan)
-        self._shape = tuple(shape)
-        self._time_last = (*range(1, len(self._shape) + 1), 0)
-        self._cap = min(length, FOLD_CAP)
-        self._buf = np.empty(self._shape + (self._cap,))
+        self._time_last = (*range(1, len(shape) + 1), 0)
+        self._buf = np.empty((*shape, min(length, FOLD_CAP)))
         self._fill = 0
         self._stack = []
 
     def extend(self, block):
         """Append block[0], block[1], ... (time runs along axis 0)."""
         values = block.transpose(self._time_last)
-        size = values.shape[-1]
+        buf = self._buf
+        size = len(block)
         at = 0
         while at < size:
-            if not self._node:
+            node, fill = self._node, self._fill
+            if not node:
                 raise ValueError("the fold has received more than its length")
-            take = min(self._node - self._fill, size - at)
-            self._buf[..., self._fill : self._fill + take] = values[..., at : at + take]
+            take = min(node - fill, size - at)
+            buf[..., fill : fill + take] = values[..., at : at + take]
             at += take
-            self._fill += take
-            if self._fill == self._node:
-                self._close(self._buf[..., : self._node])
+            if fill + take < node:
+                self._fill = fill + take
+            else:
+                self._close(buf[..., :node])
 
     def _close(self, values):
         stack = self._stack

@@ -19,6 +19,7 @@ band again. That blindness is deliberate and pinned by regression tests.
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 _VALUE = struct.Struct(">d")
 _COMPOUND_ENTRY = struct.Struct(">HIH")
@@ -50,6 +51,10 @@ class Strategy(Enum):
     FA = "FA"
 
 
+_COMPOUND = (Strategy.UC, Strategy.FC)
+_FILTERED = (Strategy.FC, Strategy.FA)
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     kind: Strategy
@@ -62,17 +67,21 @@ class StrategyConfig:
 
     @property
     def compound(self):
-        return self.kind in (Strategy.UC, Strategy.FC)
+        return self.kind in _COMPOUND
 
     @property
     def filtered(self):
-        return self.kind in (Strategy.FC, Strategy.FA)
+        return self.kind in _FILTERED
 
 
 STRATEGY_ORDER = ("UC", "FC", "UA", "FA", "FA+TIS")
 
 
+@lru_cache(maxsize=64)
 def parse_strategy(token):
+    """StrategyConfig for a token such as "fa_tis"; memoized, as every run
+    parses its config's token. The result is frozen, and an unknown token
+    raises afresh on every call."""
     name = token.strip().upper().replace("_", "+")
     tis = False
     if name.endswith("+TIS"):

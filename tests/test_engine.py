@@ -529,9 +529,14 @@ def test_sweep_rejects_a_jobs_that_is_not_an_integer(monkeypatch, jobs):
 
 
 def test_import_loads_no_process_pool():
-    # only sweep(jobs > 1) needs concurrent.futures and multiprocessing
-    probe = "import sys, salsim; print('concurrent.futures' in sys.modules)"
-    assert python_output(probe).split() == ["False"]
+    # only sweep(jobs > 1) needs concurrent.futures and multiprocessing;
+    # summarize averages with math.fsum, as statistics loads fractions
+    # and decimal
+    probe = (
+        "import sys, salsim; "
+        "print('concurrent.futures' in sys.modules, 'statistics' in sys.modules)"
+    )
+    assert python_output(probe).split() == ["False", "False"]
 
 
 def test_sweep_deterministic_and_parallel_equivalent():
@@ -669,6 +674,43 @@ def test_config_bool_and_str_fields_reject_other_types(field, value, what):
 def test_supplied_plants_reject_non_finite_parameters(bad):
     with pytest.raises(ConfigError):
         run(cfg(plants=[PlantParams(**{"a": 1.0, **bad})]))
+
+
+@pytest.mark.parametrize(
+    "plants",
+    [
+        [1.1],
+        [PlantParams(a="1.1")],
+        iter([PlantParams(a=1.0)]),
+    ],
+    ids=["a number", "a string parameter", "an iterator"],
+)
+def test_supplied_plants_of_the_wrong_type_are_config_errors(plants):
+    with pytest.raises(ConfigError, match="plants"):
+        run(cfg(plants=plants))
+
+
+def test_a_config_changed_in_place_runs_like_a_fresh_one():
+    # what run() memoizes (the parsed strategy token, the fold's summation
+    # plan, each plant's gain) is keyed by value, so no set-up outlives
+    # the field values it came from
+    fields = dict(n_loops=2, horizon=40, loss_prob=0.3, strategy="FA", seed=5)
+    config = cfg(**fields)
+    run(config)
+    for field, bad in [
+        ("strategy", "XX"),
+        ("policy", "NOPE"),
+        ("plants", [PlantParams(a=1.0), PlantParams(a=2.0)]),
+    ]:
+        setattr(config, field, bad)
+        with pytest.raises(ConfigError):
+            run(config)
+        setattr(config, field, getattr(cfg(**fields), field))
+        assert run(config) == run(cfg(**fields))
+    for field, value in [("tb_capacity", 30), ("payload_size", 12), ("strategy", "UC")]:
+        setattr(config, field, value)
+        fields[field] = value
+        assert run(config) == run(cfg(**fields)), field
 
 
 @pytest.mark.parametrize("q", [1e300])

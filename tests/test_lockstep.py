@@ -49,6 +49,14 @@ CELLS = [
     # and the first that reads them from a second one
     ("one block", dict(horizon=512), ["UC", "FC", "UA", "FA", "FA+TIS"]),
     ("one block and a slot", dict(horizon=513), ["UC", "FC", "UA", "FA", "FA+TIS"]),
+    # short runs, whose folds take one node of one to eight slots
+    ("one slot", dict(horizon=1, warmup=0), ["UC", "FC", "UA", "FA", "FA+TIS"]),
+    ("one measured slot", dict(horizon=8, warmup=7), ["UC", "FC", "UA", "FA", "FA+TIS"]),
+    (
+        "tiny runs instance",
+        dict(n_loops=1, horizon=8, warmup=0, loss_prob=0.3),
+        ["UC", "FC", "UA", "FA", "FA+TIS"],
+    ),
 ]
 
 
