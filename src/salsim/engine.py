@@ -12,16 +12,18 @@ apply new inputs; metrics accumulate once the warmup window has passed.
 Freshness ages and stage costs are therefore measured on the post-update
 state of slot t.
 
-The slot loop is written for throughput: the controller update of slot
-t and the plant step of slot t+1 share one pass over the loops, after
-which two array.fromlist calls append every loop's input and state to
-the block as one time-major row, atomic ingest and selection under the
-staleness-cost policy are mirrored inline, and a delivery adds to its
-loop's age total the move of its newest generation times the measured
-slots left. Deadband semantics follow DeadbandFilter (first sample
-always admits, strict threshold, reference moves only on admission);
-the filter is inlined here and pinned to the reference implementation
-by the filtered-vs-unfiltered equivalence tests.
+The slot loop is written for throughput. One pass over the loops per
+slot applies each controller's input, steps the plant and samples it;
+for UA, FA and FA+TIS under the staleness-cost policy it also admits
+each sample, writes FA's buffer and offers the loop to a running top-k
+shortlist, which the next slot sends as it is (slot -1 runs the pass
+alone, to draw x_0 and rank slot 0). A delivery replaces its loop's
+estimate and adds to the loop's age total the move of its newest
+generation times the measured slots left. Deadband semantics follow
+DeadbandFilter (first sample always admits, strict threshold, reference
+moves only on admission); the filter is inlined here and pinned to the
+reference implementation by the filtered-vs-unfiltered equivalence
+tests.
 
 A run holds the same memory whatever its horizon. Slots go by in the
 lockstep engine's blocks of lockstep.BLOCK (512): each block draws its
@@ -293,9 +295,6 @@ def run(config, erasure_pattern=None, record_traces=False):
             f"erasure pattern covers {len(erasure_pattern)} of {horizon} slots"
         )
 
-    a = [pl.a for pl in plants]
-    b = [pl.b for pl in plants]
-
     # the seed's stream holds one normal per loop per slot (one spare row
     # feeds the loop-fused plant step past the horizon), then one uniform
     # per slot, so compared strategies share realizations. Slots go by
@@ -308,26 +307,27 @@ def run(config, erasure_pattern=None, record_traces=False):
         rng = np.random.default_rng(config.seed)
     scale = [math.sqrt(pl.sigma_w2) for pl in plants]  # correctly rounded, as np.sqrt
     noise = _noise_rows(rng, block + 1, scale)
-    row = noise.pop(0)
+    noise.append(noise.pop(0))  # row 0, x_0's noise, is read by slot -1 as noise[-1]
 
     compound_mode = strat.compound
     filtering = strat.filtered
     tis_on = strat.tis
     threshold = config.deadband
 
-    # Mirrored data path for the default staleness-cost policy: buffer
-    # occupancy and the per-loop cost tables are tracked inline, costs are
-    # read at the controllers' delivery anchors (below), and one tiered
-    # staleness-cost scan ranks for UA, FA and FA+TIS. The mirror
-    # reproduces the aggregation layer's selection and the PDU byte
-    # accounting bit for bit without building a PDU (see the pinned run
-    # regressions). FIFO and ROUND_ROBIN take
-    # the object path below; compound packets queue in the aggregation
-    # layer whatever the policy.
+    # Atomic strategies under the default staleness-cost policy (rank)
+    # mirror the aggregation layer inline: the pass that draws a slot's
+    # samples ranks them for the next slot by staleness cost, read at the
+    # controllers' delivery anchors, bit for bit with the layer's
+    # selection and PDU byte accounting (see the pinned run regressions).
+    # FIFO and ROUND_ROBIN take the object path below; compound packets
+    # queue in the aggregation layer whatever the policy.
     policy = Policy[config.policy]
-    fast_sal = policy is Policy.AOI_COST
+    rank = policy is Policy.AOI_COST and not compound_mode
+    buffered = rank and filtering and not tis_on  # FA
+    # passes of slots t < rank_until rank slot t+1; no slot follows the last
+    rank_until = horizon - 1 if rank else -1
     handler = reader = None
-    if compound_mode or not fast_sal:
+    if not rank:
         session = SessionHandler()
         for i in range(n):
             session.subscribe(session.register(f"loop/{i}"), i)
@@ -346,16 +346,16 @@ def run(config, erasure_pattern=None, record_traces=False):
         process = reader.process
 
     x = [0.0] * n
-    x_hat = [0.0] * n
+    x_hat = [0.0] * n  # estimates for the coming slot, unless a delivery replaces them
     u = [0.0] * n
     # states and inputs, one time-major row (x_t, u_t) of 2n values per
-    # slot from slot row0 on, then x_t of the current slot. One array,
-    # not two, keeps the peak flat: two arrays that grow by turns leave
-    # holes in the heap
-    rows = array("d")
+    # slot from slot row0 on, then x_t of the current slot; slot -1's
+    # state is zero. One array, not two, keeps the peak flat: two arrays
+    # that grow by turns leave holes in the heap
+    rows = array("d", x)
     width = 2 * n
-    row0 = 0
-    par = list(zip(a, b, neg_gain))
+    row0 = -1
+    par = [(pl.a, pl.b, ngi) for pl, ngi in zip(plants, neg_gain)]
     fold = PairwiseFold(horizon - warmup, (width,))
     got_gen = [-1] * n
     got_val = [0.0] * n
@@ -368,18 +368,26 @@ def run(config, erasure_pattern=None, record_traces=False):
     area = [(horizon * (horizon + 1) - warmup * (warmup + 1)) // 2] * n
     # deadband reference per loop; +inf admits the first sample
     last_ref = [float("inf")] * n
-    trig = [False] * n
-    pend = 0
+    trig = [False] * n  # admission flags, read by the compound and object ingests
+    # each pass counts the next slot's admitted samples from pend0
+    pend0 = 0 if filtering else n
 
     entry_size = PDU_ENTRY_OVERHEAD + value_size
-    k_fit = (capacity - PDU_HEADER_SIZE) // entry_size
-    down = range(n - 1, -1, -1)
-    a2 = [ai * ai for ai in a]
-    s2 = [pl.sigma_w2 for pl in plants]
+    room = capacity - PDU_HEADER_SIZE
+    # shortlists hold k entries, padded with cost -1.0 and id -1: every
+    # cost is positive, so a padding entry is the first to go
+    k = min(room // entry_size, n)
+    last = k - 1
+    pad_cost = [-1.0] * k
+    pad_id = [-1] * k
     g_tab = [[0.0] for _ in range(n)]
+    low_id = []
     buf_gen = [-1] * n
     buf_val = [0.0] * n
-    occupied = 0
+    # buffered samples that the next slot's ingest overwrites: the n - k
+    # that UA and FA+TIS leave unsent, or those that FA's pass counts
+    spare = 0 if buffered else n - k
+    overwrites = 0
     replaced_local = 0
 
     # compound pipeline state: the packet currently on the wire, its
@@ -397,19 +405,8 @@ def run(config, erasure_pattern=None, record_traces=False):
     triggered_total = 0
     published_total = 0
     delivered_total = 0
-    counters_base = (0, 0, 0, 0, 0, 0)
     delivery_log = [] if record_traces else None
 
-    # slot 0 plant step (zero state and inputs: x_0 is pure noise)
-    for i in range(n):
-        xi = row[i]
-        x[i] = xi
-        if filtering and abs(xi - last_ref[i]) > threshold:
-            trig[i] = True
-            last_ref[i] = xi
-            pend += 1
-
-    rows.fromlist(x)
     for s in range(0, horizon, block):
         size = min(block, horizon - s)
         if s:
@@ -419,181 +416,189 @@ def run(config, erasure_pattern=None, record_traces=False):
             arrives = [not erased for erased in erasure_pattern[s : s + size]]
         else:
             arrives = (link_rng.random(size) >= config.loss_prob).tolist()
-        for j in range(size):
+        # slot -1 sends nothing: its pass only draws x_0 and ranks slot 0
+        for j in range(-1 if s == 0 else 0, size):
             t = s + j
-            if t == warmup:
-                counters_base = (
-                    blocks,
-                    pad_total,
-                    triggered_total,
-                    published_total,
-                    delivered_total,
-                    replaced_local + _sal_discards(handler, reader),
-                )
+            if t >= 0:
+                if t == warmup:  # the counters cover the measured slots only
+                    blocks = pad_total = triggered_total = published_total = delivered_total = 0
+                    replaced_local = -_sal_discards(handler, reader)
 
-            # ------------------------------------------ publish and transmit
-            # TIS publishes the suppressed samples too; compound has no TIS
-            if filtering:
+                # -------------------------------------- publish and transmit
+                # TIS publishes the suppressed samples too; compound has no TIS
                 triggered_total += pend
                 published_total += n if tis_on else pend
-            else:
-                triggered_total += n
-                published_total += n
-            if compound_mode:
-                if not filtering:
-                    handler.ingest_compound((t, tuple(x), range(n)))
-                elif pend:
-                    handler.ingest_compound((t, tuple(x), [i for i in range(n) if trig[i]]))
-                fresh_packet = False
-                if not frag_left:
-                    packet = handler.next_compound()
-                    if packet is not None:
-                        cur_gen, cur_vals, cur_ids = packet
-                        frag_left, last_pad = fragment_layout(
-                            1 + len(cur_ids) * entry_size, capacity
-                        )
-                        cur_ok = True
-                        fresh_packet = True
-                if frag_left:
-                    blocks += 1
-                    frag_left -= 1
+                got = ()
+                if compound_mode:
+                    if pend:
+                        admitted = [i for i in range(n) if trig[i]] if filtering else range(n)
+                        handler.ingest_compound((t, tuple(x), admitted))
+                    fresh_packet = False
                     if not frag_left:
-                        pad_total += last_pad
-                    ok = arrives[j]
-                    if per_packet:
-                        if fresh_packet:
-                            packet_fate = ok
-                        ok = packet_fate
-                    if not ok:
-                        cur_ok = False
-                    elif not frag_left and cur_ok:
-                        for i in cur_ids:
-                            got_gen[i] = cur_gen
-                            got_val[i] = cur_vals[i]
-            elif fast_sal:
-                # --------------- mirrored ingest / rank / deliver, one pass
-                if filtering and not tis_on:
-                    for i in range(n):
-                        if trig[i]:
-                            if buf_gen[i] >= 0:
-                                replaced_local += 1
-                            buf_gen[i] = t
-                            buf_val[i] = x[i]
-                else:
-                    # every buffer is rewritten each slot, so the overwrite
-                    # count is just the occupancy left by the last selection
-                    replaced_local += occupied
-                    occupied = n
-                # rank by staleness cost over tiers of candidates into one
-                # shortlist, each tier behind the earlier ones: all loops
-                # (UA), loops with a buffered sample (FA), or admitted then
-                # suppressed loops (FA+TIS). Ids go downward, so the lower
-                # id wins a cost tie by displacing its equal; as that order
-                # is total, a capped shortlist is the top of the full ranking
-                if not filtering:
-                    tiers = (down,)
-                elif not tis_on:
-                    tiers = ([i for i in down if buf_gen[i] >= 0],)
-                else:
-                    tiers = ([i for i in down if trig[i]], [i for i in down if not trig[i]])
-                top_cost = []
-                top_id = []
-                for tier in tiers:
-                    first = len(top_id)
-                    if first == k_fit:
-                        break
-                    for i in tier:
-                        delta = t - anchor[i]
-                        tab = g_tab[i]
-                        if delta < len(tab):
-                            cost = tab[delta]
-                        else:
-                            cost = staleness_cost(tab, a2[i], s2[i], delta)
-                        held = len(top_cost)
-                        if held == k_fit:
-                            if cost < top_cost[-1]:
-                                continue
-                            top_cost.pop()
-                            top_id.pop()
-                            held -= 1
-                        pos = first
-                        while pos < held and top_cost[pos] > cost:
-                            pos += 1
-                        top_cost.insert(pos, cost)
-                        top_id.insert(pos, i)
-                if top_id:
-                    blocks += 1
-                    pad_total += capacity - PDU_HEADER_SIZE - len(top_id) * entry_size
-                    ok = arrives[j]
-                    if filtering and not tis_on:
-                        for i in top_id:
-                            g = buf_gen[i]
-                            buf_gen[i] = -1
-                            if ok:
-                                got_gen[i] = g
+                        packet = handler.next_compound()
+                        if packet is not None:
+                            cur_gen, cur_vals, cur_ids = packet
+                            frag_left, last_pad = fragment_layout(
+                                1 + len(cur_ids) * entry_size, capacity
+                            )
+                            cur_ok = True
+                            fresh_packet = True
+                    if frag_left:
+                        blocks += 1
+                        frag_left -= 1
+                        if not frag_left:
+                            pad_total += last_pad
+                        ok = arrives[j]
+                        if per_packet:
+                            if fresh_packet:
+                                packet_fate = ok
+                            ok = packet_fate
+                        if not ok:
+                            cur_ok = False
+                        elif not frag_left and cur_ok:
+                            got = cur_ids
+                            for i in got:
+                                got_gen[i] = cur_gen
+                                got_val[i] = cur_vals[i]
+                elif rank:
+                    # send what the last pass ranked (FA+TIS: the admitted
+                    # tier first), less the padding of a short tier
+                    replaced_local += overwrites
+                    overwrites = spare
+                    sent = top_id
+                    if sent[-1] < 0:
+                        sent = [i for i in top_id + low_id if i >= 0][:k]
+                    if sent:
+                        blocks += 1
+                        pad_total += room - len(sent) * entry_size
+                        if buffered:
+                            for i in sent:
+                                got_gen[i] = buf_gen[i]
                                 got_val[i] = buf_val[i]
-                    else:
-                        occupied -= len(top_id)
-                        if ok:
-                            for i in top_id:
+                                buf_gen[i] = -1
+                            if arrives[j]:
+                                got = sent
+                        elif arrives[j]:
+                            got = sent
+                            for i in got:
                                 got_gen[i] = t
                                 got_val[i] = x[i]
-            else:
-                if filtering:
-                    ingest_flagged(t, x, value_size, trig, tis_on)
                 else:
-                    ingest_fresh_all(t, x, value_size)
-                picked = select_uniform(capacity, t, value_size)
-                if picked:
-                    blocks += 1
-                    pdu = compose_pdu(
-                        [
-                            Mdu(e[0], e[1], encode_value(e[2], value_size))
-                            for e in picked
-                        ],
-                        capacity,
-                    )
-                    pad_total += pdu.padding_bytes
-                    if arrives[j]:
-                        deliveries, acks = process(pdu, t)
-                        for ack in acks:
-                            handle_ack(ack)
-                        for mdu, _subs in deliveries:
-                            got_gen[mdu.id] = mdu.gen_time
-                            got_val[mdu.id] = decode_value(mdu.payload, value_size)
-
-            # ------------- controller update for t fused with plant step t+1
-            row = noise[j]
-            pend = 0
-            now = (t - row0) * width
-            for i in range(n):
-                ai, bi, ngi = par[i]
-                gen = got_gen[i]
-                if gen >= 0:
-                    got_gen[i] = -1
-                    delivered_total += 1
-                    if delivery_log is not None:
-                        delivery_log.append((t, i, gen))
-                    xh = got_val[i]
-                    if gen != t:  # replay the inputs u_gen..u_t-1
-                        for uk in rows[(gen - row0) * width + n + i : now : width]:
-                            xh = ai * xh + bi * uk
-                    area[i] += (anchor[i] - gen) * (horizon - (t if t > warmup else warmup))
-                    anchor[i] = gen
-                else:
-                    xh = ai * x_hat[i] + bi * u[i]
-                x_hat[i] = xh
-                ui = ngi * xh
-                u[i] = ui
-                xi = ai * x[i] + bi * ui + row[i]
-                x[i] = xi
-                if filtering:
-                    if abs(xi - last_ref[i]) > threshold:
-                        trig[i] = True
-                        last_ref[i] = xi
-                        pend += 1
+                    if filtering:
+                        ingest_flagged(t, x, value_size, trig, tis_on)
                     else:
-                        trig[i] = False
+                        ingest_fresh_all(t, x, value_size)
+                    picked = select_uniform(capacity, t, value_size)
+                    if picked:
+                        blocks += 1
+                        pdu = compose_pdu(
+                            [
+                                Mdu(e[0], e[1], encode_value(e[2], value_size))
+                                for e in picked
+                            ],
+                            capacity,
+                        )
+                        pad_total += pdu.padding_bytes
+                        if arrives[j]:
+                            deliveries, acks = process(pdu, t)
+                            for ack in acks:
+                                handle_ack(ack)
+                            got = []
+                            for mdu, _subs in deliveries:
+                                i = mdu.id
+                                got.append(i)
+                                got_gen[i] = mdu.gen_time
+                                got_val[i] = decode_value(mdu.payload, value_size)
+
+                # ----------- deliveries replace their loops' estimates
+                if got:
+                    now = (t - row0) * width
+                    left = horizon - (t if t > warmup else warmup)
+                    for i in got:
+                        gen = got_gen[i]
+                        xh = got_val[i]
+                        if gen != t:  # replay the inputs u_gen..u_t-1
+                            ai, bi, _ = par[i]
+                            for uk in rows[(gen - row0) * width + n + i : now : width]:
+                                xh = ai * xh + bi * uk
+                        x_hat[i] = xh
+                        area[i] += (anchor[i] - gen) * left
+                        anchor[i] = gen
+                    delivered_total += len(got)
+                    if delivery_log is not None:
+                        delivery_log.extend(sorted([(t, i, got_gen[i]) for i in got]))
+
+            # ------ controller update for t, plant step and sampling for t+1
+            row = noise[j]
+            pend = pend0
+            if t < rank_until:
+                # admit, buffer and rank slot t+1's samples as they are
+                # drawn. Ids ascend, so the lower id wins a cost tie: an
+                # equal cost neither displaces nor passes its equal
+                t1 = t + 1
+                top_cost = pad_cost.copy()
+                top_id = pad_id.copy()
+                if tis_on:
+                    low_cost = pad_cost.copy()
+                    low_id = pad_id.copy()
+                costs, ids, floor = top_cost, top_id, -1.0
+                for i in range(n):
+                    ai, bi, ngi = par[i]
+                    xh = x_hat[i]
+                    ui = ngi * xh
+                    u[i] = ui
+                    xi = ai * x[i] + bi * ui + row[i]
+                    x[i] = xi
+                    x_hat[i] = ai * xh + bi * ui
+                    if filtering:
+                        if abs(xi - last_ref[i]) > threshold:
+                            last_ref[i] = xi
+                            pend += 1
+                            if buffered:
+                                if buf_gen[i] >= 0:
+                                    overwrites += 1
+                                buf_gen[i] = t1
+                                buf_val[i] = xi
+                            elif ids is not top_id:
+                                costs, ids, floor = top_cost, top_id, top_cost[last]
+                        elif buffered:
+                            if buf_gen[i] < 0:
+                                continue
+                        elif top_id[last] >= 0:
+                            continue  # k admitted samples fill the block
+                        else:  # FA+TIS ranks a suppressed sample behind every admitted one
+                            costs, ids, floor = low_cost, low_id, low_cost[last]
+                    delta = t1 - anchor[i]
+                    tab = g_tab[i]
+                    if delta < len(tab):
+                        cost = tab[delta]
+                    else:
+                        cost = staleness_cost(tab, ai * ai, plants[i].sigma_w2, delta)
+                    if cost > floor:
+                        pos = last
+                        while pos and costs[pos - 1] < cost:
+                            costs[pos] = costs[pos - 1]
+                            ids[pos] = ids[pos - 1]
+                            pos -= 1
+                        costs[pos] = cost
+                        ids[pos] = i
+                        floor = costs[last]
+            else:
+                for i in range(n):
+                    ai, bi, ngi = par[i]
+                    xh = x_hat[i]
+                    ui = ngi * xh
+                    u[i] = ui
+                    xi = ai * x[i] + bi * ui + row[i]
+                    x[i] = xi
+                    x_hat[i] = ai * xh + bi * ui
+                    if filtering:
+                        if abs(xi - last_ref[i]) > threshold:
+                            trig[i] = True
+                            last_ref[i] = xi
+                            pend += 1
+                        else:
+                            trig[i] = False
             rows.fromlist(u)
             rows.fromlist(x)
 
@@ -618,7 +623,7 @@ def run(config, erasure_pattern=None, record_traces=False):
                 else:
                     queued = handler.peek_compound()
                     keep = end if queued is None else queued[0]
-            elif fast_sal:
+            elif rank:
                 keep = min([gen for gen in buf_gen if gen >= 0], default=end)
             else:
                 held = [o.gen_time for o in map(handler.occupant, range(n)) if o is not None]
@@ -628,15 +633,11 @@ def run(config, erasure_pattern=None, record_traces=False):
             row0 = keep
 
     squared = fold.total().tolist()
-    counters = (
-        blocks,
-        pad_total,
-        triggered_total,
-        published_total,
-        delivered_total,
-        replaced_local + _sal_discards(handler, reader),
+    discards = replaced_local + _sal_discards(handler, reader)
+    totals = RunTotals(
+        area, squared[:n], squared[n:],
+        blocks, pad_total, triggered_total, published_total, delivered_total, discards,
     )
-    totals = RunTotals(area, squared[:n], squared[n:], *map(operator.sub, counters, counters_base))
 
     traces = None
     if record_traces:
@@ -733,6 +734,8 @@ def _result(config, strat, plants, totals, aoi_trace=None, delivery_log=None):
 def _canonical_tokens(strategy_tokens, upgrade_tis):
     labels = []
     for token in strategy_tokens:
+        if not isinstance(token, str):
+            raise ConfigError(f"strategy tokens must be strings, got {token!r}")
         strat = parse_strategy(token)
         if upgrade_tis and strat.kind is Strategy.FA and not strat.tis:
             strat = StrategyConfig(Strategy.FA, True)
@@ -797,10 +800,11 @@ def _takes_lockstep(configs):
     Only AOI_COST cells of two or more seeds qualify. A pass pays a
     fixed cost per slot whatever the number of runs, while each seed it
     carries saves about 2 + n/2 us of run()'s slot loop at n loops; the
-    pass is taken once the savings exceed the fixed cost. Fitted to
-    timings at 1-40 loops and 1-20 seeds, the rule leaves every timed
-    cell that it sends to the pass faster there than in run(); cells
-    just past the break-even point keep the scalar engine.
+    pass is taken once the savings exceed the fixed cost. Every timed
+    cell that the rule sends to the pass runs faster there than in
+    run(), at 1-40 loops and 1-20 seeds. Re-timed against the one-pass
+    run(), UA and FA cells first ran faster in the pass at 6-8 seeds of
+    5 loops and 3-4 of 20, and the rule still takes it from 9 and 4.
     """
     first = configs[0]
     if len(configs) < 2 or first.policy != Policy.AOI_COST.name:

@@ -9,6 +9,7 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -492,6 +493,15 @@ def test_sweep_rejects_a_bad_base_before_running(overrides):
         sweep(cfg(**fields), n_values, ["UA", "UC"])
 
 
+@pytest.mark.parametrize(
+    "token",
+    [pytest.param(1, id="1"), pytest.param(None, id="None"), pytest.param(["UA"], id="list")],
+)
+def test_sweep_rejects_a_strategy_token_that_is_not_a_string(token):
+    with pytest.raises(ConfigError, match=re.escape(repr(token))):
+        sweep(cfg(horizon=20), [5], [token])
+
+
 def test_sweep_asks_for_no_more_workers_than_tasks(monkeypatch):
     asked = []
 
@@ -834,6 +844,14 @@ PINNED_RUNS = [
      (6.106349206349206, 6834720433347.433, 0.06521739130434782, 0.7390476190476191, 1800, 3150, 984)),
     ("k3 FA round robin", dict(n_loops=7, horizon=500, warmup=50, strategy="FA", policy="ROUND_ROBIN", tb_capacity=92, loss_prob=0.25, seed=9),
      (1.951111111111111, 5.669272076351616, 0.06589371980676328, 0.6917460317460318, 831, 2179, 983)),
+    # the benchmarked regime: 20 loops, two entries per 64-byte block, over
+    # three blocks of slots; recorded before ranking moved into the plant pass
+    ("UA n20", dict(n_loops=20, horizon=1100, warmup=100, strategy="UA", tb_capacity=64, loss_prob=0.25, seed=9),
+     (7.6165, 23.60351826628041, 0.09375, 1.0, 18000, 20000, 1484)),
+    ("FA n20", dict(n_loops=20, horizon=1100, warmup=100, strategy="FA", tb_capacity=64, loss_prob=0.25, seed=9),
+     (8.0927, 24.284013730724013, 0.09375, 0.69305, 11862, 13861, 1484)),
+    ("FA tis n20", dict(n_loops=20, horizon=1100, warmup=100, strategy="FA", tis=True, tb_capacity=64, loss_prob=0.25, seed=9),
+     (7.50515, 23.643195505160143, 0.09375, 0.69415, 18000, 20000, 1484)),
 ]
 
 

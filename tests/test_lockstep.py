@@ -10,11 +10,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import salsim.engine as engine
 import salsim.lockstep as lockstep
 from salsim.engine import SimConfig, run, run_cell, sweep
 from salsim.lockstep import BLOCK, FOLD_CAP, PairwiseFold
+from salsim.mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE
 from salsim.plant import PlantParams
 
 BASE = dict(n_loops=4, horizon=300, warmup=40, loss_prob=0.25, seed=11, repetitions=3)
@@ -90,6 +93,47 @@ def test_sweep_cells_match_run_field_for_field(monkeypatch, name, overrides, tok
                 row.seed,
                 field.name,
             )
+
+
+@st.composite
+def atomic_cells(draw):
+    """Configs of one random atomic AOI_COST cell, two to four seeds."""
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(1, n + 2))  # entries that fit a block, past n too
+    entry = PDU_ENTRY_OVERHEAD + 20
+    if draw(st.booleans()):  # equal plants tie every cost ranking
+        a_min = a_max = draw(st.sampled_from([0.9, 1.0, 1.1, 1.25]))
+    else:
+        a_min, a_max = sorted(draw(st.lists(st.floats(-1.3, 1.3), min_size=2, max_size=2)))
+    # past one 512-slot block, too, so that runs draw their link uniforms
+    # from a second generator and fold the stage costs block by block
+    horizon = draw(st.one_of(st.integers(1, 1100), st.sampled_from([512, 513, 1025, 1100])))
+    base = SimConfig(
+        n_loops=n,
+        strategy=draw(st.sampled_from(["UA", "FA", "FA+TIS"])),
+        tb_capacity=PDU_HEADER_SIZE + k * entry + draw(st.integers(0, entry - 1)),
+        deadband=draw(st.sampled_from([0.0, 0.5, 4.0])),
+        loss_prob=draw(st.floats(0.0, 1.0)),
+        a_min=a_min,
+        a_max=a_max,
+        horizon=horizon,
+        warmup=draw(st.integers(0, horizon - 1)),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    return [dataclasses.replace(base, seed=base.seed + j) for j in range(draw(st.integers(2, 4)))]
+
+
+@settings(max_examples=100)
+@given(atomic_cells())
+def test_random_atomic_cells_match_run_seed_by_seed(cell):
+    # the pass ranks by k rounds of argmax, run() by a running shortlist
+    # in its plant pass: two rankers, one tie rule (the lower id wins)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "LOCKSTEP_ATOMIC_US", 0.0)
+        assert engine._takes_lockstep(cell)
+        rows = run_cell(cell)
+    for row, config in zip(rows, cell):
+        assert dataclasses.astuple(row) == dataclasses.astuple(run(config)), config
 
 
 def test_only_link_draws_past_one_block_skip_the_normals(monkeypatch):
