@@ -17,13 +17,18 @@ slot applies each controller's input, steps the plant and samples it;
 for UA, FA and FA+TIS under the staleness-cost policy it also admits
 each sample, writes FA's buffer and offers the loop to a running top-k
 shortlist, which the next slot sends as it is (slot -1 runs the pass
-alone, to draw x_0 and rank slot 0). A delivery replaces its loop's
-estimate and adds to the loop's age total the move of its newest
-generation times the measured slots left. Deadband semantics follow
-DeadbandFilter (first sample always admits, strict threshold, reference
-moves only on admission); the filter is inlined here and pinned to the
-reference implementation by the filtered-vs-unfiltered equivalence
-tests.
+alone, to draw x_0 and rank slot 0). Every link hands the controllers
+(loop, generation) pairs, as the layer's units carry their generation
+time: the sample x_gen is read from the rows of states that replay
+keeps (x_t itself when gen == t), so no value travels with a buffer
+entry or a queued packet. The object path encodes values into its PDUs
+for their byte accounting and never decodes them. A delivery replaces
+its loop's estimate and adds to the loop's age total the move of its
+newest generation times the measured slots left. Deadband semantics
+follow DeadbandFilter (first sample always admits, strict threshold,
+reference moves only on admission); the filter is inlined here and
+pinned to the reference implementation by the filtered-vs-unfiltered
+equivalence tests.
 
 A run holds the same memory whatever its horizon. Slots go by in the
 lockstep engine's blocks of lockstep.BLOCK (512): each block draws its
@@ -69,7 +74,7 @@ from .publisher import (
     STRATEGY_ORDER,
     Strategy,
     StrategyConfig,
-    decode_value,
+    decode_value,  # not called: benchmarks/tracer.py patches the name on this module
     encode_value,
     parse_strategy,
     strategy_label,
@@ -320,7 +325,8 @@ def run(config, erasure_pattern=None, record_traces=False):
     # controllers' delivery anchors, bit for bit with the layer's
     # selection and PDU byte accounting (see the pinned run regressions).
     # FIFO and ROUND_ROBIN take the object path below; compound packets
-    # queue in the aggregation layer whatever the policy.
+    # queue in the aggregation layer as (generation, loop ids), whatever
+    # the policy.
     policy = Policy[config.policy]
     rank = policy is Policy.AOI_COST and not compound_mode
     buffered = rank and filtering and not tis_on  # FA
@@ -342,7 +348,6 @@ def run(config, erasure_pattern=None, record_traces=False):
         ingest_fresh_all = handler.ingest_fresh_all
         ingest_flagged = handler.ingest_flagged
         select_uniform = handler.select_uniform
-        handle_ack = handler.handle_ack
         process = reader.process
 
     x = [0.0] * n
@@ -357,8 +362,10 @@ def run(config, erasure_pattern=None, record_traces=False):
     row0 = -1
     par = [(pl.a, pl.b, ngi) for pl, ngi in zip(plants, neg_gain)]
     fold = PairwiseFold(horizon - warmup, (width,))
+    # a delivery is a list of loop ids, and got_gen holds each one's
+    # generation: (loop, generation) pairs kept by loop, as building
+    # tuples slowed the atomic strategies' slots
     got_gen = [-1] * n
-    got_val = [0.0] * n
     # per loop, the generation of the newest delivered sample (-1 before
     # the first): the age at slot s is s - anchor, the delta the ranking
     # reads too. A delivery at slot t moves the age of every measured slot
@@ -383,7 +390,6 @@ def run(config, erasure_pattern=None, record_traces=False):
     g_tab = [[0.0] for _ in range(n)]
     low_id = []
     buf_gen = [-1] * n
-    buf_val = [0.0] * n
     # buffered samples that the next slot's ingest overwrites: the n - k
     # that UA and FA+TIS leave unsent, or those that FA's pass counts
     spare = 0 if buffered else n - k
@@ -392,18 +398,15 @@ def run(config, erasure_pattern=None, record_traces=False):
 
     # compound pipeline state: the packet currently on the wire, its
     # remaining fragment budget, the padding of its last fragment and
-    # whether every fragment so far arrived
+    # whether it still arrives
     frag_left = 0
     last_pad = 0
     cur_gen = 0
-    cur_vals = ()
     cur_ok = False
-    packet_fate = False
 
     blocks = 0
     pad_total = 0
     triggered_total = 0
-    published_total = 0
     delivered_total = 0
     delivery_log = [] if record_traces else None
 
@@ -421,45 +424,35 @@ def run(config, erasure_pattern=None, record_traces=False):
             t = s + j
             if t >= 0:
                 if t == warmup:  # the counters cover the measured slots only
-                    blocks = pad_total = triggered_total = published_total = delivered_total = 0
+                    blocks = pad_total = triggered_total = delivered_total = 0
                     replaced_local = -_sal_discards(handler, reader)
 
                 # -------------------------------------- publish and transmit
-                # TIS publishes the suppressed samples too; compound has no TIS
                 triggered_total += pend
-                published_total += n if tis_on else pend
                 got = ()
                 if compound_mode:
                     if pend:
                         admitted = [i for i in range(n) if trig[i]] if filtering else range(n)
-                        handler.ingest_compound((t, tuple(x), admitted))
-                    fresh_packet = False
+                        handler.ingest_compound((t, admitted))
                     if not frag_left:
                         packet = handler.next_compound()
                         if packet is not None:
-                            cur_gen, cur_vals, cur_ids = packet
+                            cur_gen, cur_ids = packet
                             frag_left, last_pad = fragment_layout(
                                 1 + len(cur_ids) * entry_size, capacity
                             )
-                            cur_ok = True
-                            fresh_packet = True
+                            cur_ok = arrives[j]
+                    elif not (per_packet or arrives[j]):  # per packet, the first draw decides
+                        cur_ok = False
                     if frag_left:
                         blocks += 1
                         frag_left -= 1
                         if not frag_left:
                             pad_total += last_pad
-                        ok = arrives[j]
-                        if per_packet:
-                            if fresh_packet:
-                                packet_fate = ok
-                            ok = packet_fate
-                        if not ok:
-                            cur_ok = False
-                        elif not frag_left and cur_ok:
-                            got = cur_ids
-                            for i in got:
-                                got_gen[i] = cur_gen
-                                got_val[i] = cur_vals[i]
+                            if cur_ok:
+                                got = cur_ids
+                                for i in got:
+                                    got_gen[i] = cur_gen
                 elif rank:
                     # send what the last pass ranked (FA+TIS: the admitted
                     # tier first), less the padding of a short tier
@@ -474,7 +467,6 @@ def run(config, erasure_pattern=None, record_traces=False):
                         if buffered:
                             for i in sent:
                                 got_gen[i] = buf_gen[i]
-                                got_val[i] = buf_val[i]
                                 buf_gen[i] = -1
                             if arrives[j]:
                                 got = sent
@@ -482,7 +474,6 @@ def run(config, erasure_pattern=None, record_traces=False):
                             got = sent
                             for i in got:
                                 got_gen[i] = t
-                                got_val[i] = x[i]
                 else:
                     if filtering:
                         ingest_flagged(t, x, value_size, trig, tis_on)
@@ -500,15 +491,11 @@ def run(config, erasure_pattern=None, record_traces=False):
                         )
                         pad_total += pdu.padding_bytes
                         if arrives[j]:
-                            deliveries, acks = process(pdu, t)
-                            for ack in acks:
-                                handle_ack(ack)
+                            # FIFO and ROUND_ROBIN read no acknowledgement
                             got = []
-                            for mdu, _subs in deliveries:
-                                i = mdu.id
-                                got.append(i)
-                                got_gen[i] = mdu.gen_time
-                                got_val[i] = decode_value(mdu.payload, value_size)
+                            for mdu, _subs in process(pdu, t)[0]:
+                                got.append(mdu.id)
+                                got_gen[mdu.id] = mdu.gen_time
 
                 # ----------- deliveries replace their loops' estimates
                 if got:
@@ -516,10 +503,13 @@ def run(config, erasure_pattern=None, record_traces=False):
                     left = horizon - (t if t > warmup else warmup)
                     for i in got:
                         gen = got_gen[i]
-                        xh = got_val[i]
-                        if gen != t:  # replay the inputs u_gen..u_t-1
+                        if gen == t:
+                            xh = x[i]
+                        else:  # x_gen from its row, then replay the inputs u_gen..u_t-1
+                            at = (gen - row0) * width + i
+                            xh = rows[at]
                             ai, bi, _ = par[i]
-                            for uk in rows[(gen - row0) * width + n + i : now : width]:
+                            for uk in rows[at + n : now : width]:
                                 xh = ai * xh + bi * uk
                         x_hat[i] = xh
                         area[i] += (anchor[i] - gen) * left
@@ -558,7 +548,6 @@ def run(config, erasure_pattern=None, record_traces=False):
                                 if buf_gen[i] >= 0:
                                     overwrites += 1
                                 buf_gen[i] = t1
-                                buf_val[i] = xi
                             elif ids is not top_id:
                                 costs, ids, floor = top_cost, top_id, top_cost[last]
                         elif buffered:
@@ -634,9 +623,11 @@ def run(config, erasure_pattern=None, record_traces=False):
 
     squared = fold.total().tolist()
     discards = replaced_local + _sal_discards(handler, reader)
+    # TIS publishes the suppressed samples too; compound has no TIS
+    published = triggered_total if filtering and not tis_on else n * (horizon - warmup)
     totals = RunTotals(
         area, squared[:n], squared[n:],
-        blocks, pad_total, triggered_total, published_total, delivered_total, discards,
+        blocks, pad_total, triggered_total, published, delivered_total, discards,
     )
 
     traces = None

@@ -3,16 +3,18 @@
 Cheap exact oracles come first: the golden-ratio Riccati fixed point,
 the stationary LQG cost identity on a lossless single loop, a scripted
 erasure sawtooth, an exhaustively enumerated eight-slot instance checked
-against Monte Carlo, the deadband delivery-blindness regression, wire
-roundtrip fuzzing and the three-fragment delivery probability, plus
-byte-identity of repeated CLI artifacts. The expensive part runs the
-published grid (UC/FC/UA/FA, N in {5, 10, 15, 20}, twenty seeds, 1e5
-slots) once per session through two module fixtures and asserts the
-strategy ordering, the transmit-if-space benefit and the wall-clock
-budget.
+against Monte Carlo, UC's closed-form mean age, the deadband
+delivery-blindness regression, wire roundtrip fuzzing and the
+three-fragment delivery probability, plus byte-identity of repeated CLI
+artifacts. The expensive part runs the published grid (UC/FC/UA/FA, N
+in {5, 10, 15, 20}, twenty seeds, 1e5 slots) once per session through
+two module fixtures and asserts the strategy ordering, the
+transmit-if-space benefit, the wall-clock budget and the SHA-256 of
+both grids' results CSVs.
 """
 
 import dataclasses
+import hashlib
 import math
 import random
 import statistics
@@ -21,10 +23,11 @@ import time
 import numpy as np
 import pytest
 
-from salsim.channel import ErasureChannel, Reassembler, fragment_packet
+from salsim.channel import FRAGMENT_HEADER_SIZE, ErasureChannel, Reassembler, fragment_packet
 from salsim.cli import main
 from salsim.engine import SimConfig, run, run_cell, summarize, sweep
-from salsim.mdu import Mdu, SalPdu, deserialize_pdu, serialize_pdu
+from salsim.mdu import PDU_ENTRY_OVERHEAD, Mdu, SalPdu, deserialize_pdu, serialize_pdu
+from salsim.metrics import write_csv
 from salsim.plant import PlantParams, solve_riccati
 from salsim.publisher import DeadbandFilter
 
@@ -81,6 +84,42 @@ def test_exhaustive_eight_slot_instance_matches_monte_carlo():
     stderr = statistics.stdev(samples) / math.sqrt(trials)
     assert stderr > 0.0
     assert abs(mc_mean - exact) <= 3.0 * stderr
+
+
+# (n_loops, compound_maxlen, loss_prob, tb_capacity, per_packet_loss)
+UC_AOI_CASES = [
+    (5, 8, 0.1, 64, False),
+    (10, 8, 0.1, 64, True),
+    (7, 2, 0.25, 64, True),
+    (4, 2, 0.2, 40, False),
+    (12, 3, 0.05, 120, False),
+    (3, 20, 0.3, 30, True),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,maxlen,loss,capacity,per_packet", UC_AOI_CASES)
+def test_uc_mean_age_matches_its_closed_form(n, maxlen, loss, capacity, per_packet):
+    # UC queues a packet of every loop each slot, so with F >= 2 fragments
+    # per packet the queue stays full and the wire never idles: a packet
+    # starts every F slots and delivers, at lag L = M + F - 2, with
+    # probability P. Gaps of F * Geometric(P) slots give the mean age
+    # L + (E[D^2] / E[D] - 1) / 2 = L + (F (2 - P) / P - 1) / 2
+    base = SimConfig(
+        n_loops=n, strategy="UC", compound_maxlen=maxlen, loss_prob=loss,
+        tb_capacity=capacity, per_packet_loss=per_packet, horizon=20_000,
+    )
+    packed = 1 + n * (PDU_ENTRY_OVERHEAD + base.payload_size)
+    fragments = -(-packed // (capacity - FRAGMENT_HEADER_SIZE))
+    assert fragments >= 2
+    lag = maxlen + fragments - 2
+    p_ok = 1.0 - loss if per_packet else (1.0 - loss) ** fragments
+    expected = lag + (fragments * (2.0 - p_ok) / p_ok - 1.0) / 2.0
+    seeds = 40
+    ages = [r.mean_aoi for r in run_cell([dataclasses.replace(base, seed=s) for s in range(seeds)])]
+    stderr = statistics.stdev(ages) / math.sqrt(seeds)
+    assert stderr > 0.0
+    assert abs(statistics.fmean(ages) - expected) <= 4.0 * stderr
 
 
 def test_erased_admission_silences_the_loop_until_the_band_is_left():
@@ -204,6 +243,16 @@ def test_three_fragment_packet_delivery_probability():
 
 # ------------------------------------------------- the published grid
 
+# SHA-256 of each grid's results CSV: a change that keeps every result
+# keeps these bytes
+DEFAULT_GRID_SHA256 = "a47d605182f15c845fd6852e34822f05fa5f07615e183253b63d2526834578b8"
+TIS_GRID_SHA256 = "fc50e3e584ee86fdcc5bde062cfe8a9518f8b8047bcaa159eb80a26ae03bee7f"
+
+
+def csv_sha256(results, path):
+    write_csv(results, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def default_grid():
@@ -220,9 +269,10 @@ def tis_grid():
 
 
 @pytest.mark.slow
-def test_default_grid_orders_the_strategies(default_grid):
+def test_default_grid_orders_the_strategies(default_grid, tmp_path):
     results, _ = default_grid
     assert len(results) == 4 * 4 * 20
+    assert csv_sha256(results, tmp_path / "grid.csv") == DEFAULT_GRID_SHA256
     summary = {(s.n_loops, s.strategy): s for s in summarize(results)}
     for n in (5, 10, 15, 20):
         ua, fa, fc, uc = (summary[(n, lab)] for lab in ("UA", "FA", "FC", "UC"))
@@ -239,7 +289,8 @@ def test_default_grid_runs_inside_the_wall_clock_budget(default_grid):
 
 
 @pytest.mark.slow
-def test_transmit_if_space_never_hurts(default_grid, tis_grid):
+def test_transmit_if_space_never_hurts(default_grid, tis_grid, tmp_path):
+    assert csv_sha256(tis_grid, tmp_path / "tis.csv") == TIS_GRID_SHA256
     results, _ = default_grid
     fa = {s.n_loops: s for s in summarize(results) if s.strategy == "FA"}
     tis = {s.n_loops: s for s in summarize(tis_grid)}

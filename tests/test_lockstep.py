@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import salsim.engine as engine
 import salsim.lockstep as lockstep
+from salsim.channel import FRAGMENT_HEADER_SIZE
 from salsim.engine import SimConfig, run, run_cell, sweep
 from salsim.lockstep import BLOCK, FOLD_CAP, PairwiseFold
 from salsim.mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE
@@ -123,17 +124,53 @@ def atomic_cells(draw):
     return [dataclasses.replace(base, seed=base.seed + j) for j in range(draw(st.integers(2, 4)))]
 
 
+def assert_pass_matches_run(cell):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "LOCKSTEP_ATOMIC_US", 0.0)
+        patch.setattr(engine, "LOCKSTEP_COMPOUND_US", 0.0)
+        assert engine._takes_lockstep(cell)
+        rows = run_cell(cell)
+    for row, config in zip(rows, cell):
+        assert dataclasses.astuple(row) == dataclasses.astuple(run(config)), config
+
+
 @settings(max_examples=100)
 @given(atomic_cells())
 def test_random_atomic_cells_match_run_seed_by_seed(cell):
     # the pass ranks by k rounds of argmax, run() by a running shortlist
     # in its plant pass: two rankers, one tie rule (the lower id wins)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "LOCKSTEP_ATOMIC_US", 0.0)
-        assert engine._takes_lockstep(cell)
-        rows = run_cell(cell)
-    for row, config in zip(rows, cell):
-        assert dataclasses.astuple(row) == dataclasses.astuple(run(config)), config
+    assert_pass_matches_run(cell)
+
+
+@st.composite
+def compound_cells(draw):
+    """Configs of one random compound cell, two to four seeds."""
+    n = draw(st.integers(1, 24))
+    packed = 1 + n * (PDU_ENTRY_OVERHEAD + 20)  # a packet of every loop
+    fragments = draw(st.integers(1, 12))
+    chunk = -(-packed // fragments)  # at most `fragments` blocks per full packet
+    horizon = draw(st.one_of(st.integers(1, 1100), st.sampled_from([512, 513, 1025])))
+    base = SimConfig(
+        n_loops=n,
+        strategy=draw(st.sampled_from(["UC", "FC"])),
+        tb_capacity=FRAGMENT_HEADER_SIZE + chunk,
+        compound_maxlen=draw(st.integers(1, 50)),
+        per_packet_loss=draw(st.booleans()),
+        deadband=draw(st.sampled_from([0.0, 0.5, 4.0])),
+        loss_prob=draw(st.floats(0.0, 1.0)),
+        horizon=horizon,
+        warmup=draw(st.integers(0, horizon - 1)),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    return [dataclasses.replace(base, seed=base.seed + j) for j in range(draw(st.integers(2, 4)))]
+
+
+@settings(max_examples=100)
+@given(compound_cells())
+def test_random_compound_cells_match_run_seed_by_seed(cell):
+    # the pass keeps a shadow estimate per queued packet, run() replays
+    # each delivery from the state history: two estimators, one result
+    assert_pass_matches_run(cell)
 
 
 def test_only_link_draws_past_one_block_skip_the_normals(monkeypatch):
