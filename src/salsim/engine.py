@@ -345,7 +345,6 @@ def run(config, erasure_pattern=None, record_traces=False):
             compound_maxlen=config.compound_maxlen,
         )
         reader = DataReader(session)
-        ingest_fresh_all = handler.ingest_fresh_all
         ingest_flagged = handler.ingest_flagged
         select_uniform = handler.select_uniform
         process = reader.process
@@ -375,7 +374,7 @@ def run(config, erasure_pattern=None, record_traces=False):
     area = [(horizon * (horizon + 1) - warmup * (warmup + 1)) // 2] * n
     # deadband reference per loop; +inf admits the first sample
     last_ref = [float("inf")] * n
-    trig = [False] * n  # admission flags, read by the compound and object ingests
+    trig = [not filtering] * n  # admission flags, read by the compound and object ingests
     # each pass counts the next slot's admitted samples from pend0
     pend0 = 0 if filtering else n
 
@@ -475,10 +474,7 @@ def run(config, erasure_pattern=None, record_traces=False):
                             for i in got:
                                 got_gen[i] = t
                 else:
-                    if filtering:
-                        ingest_flagged(t, x, value_size, trig, tis_on)
-                    else:
-                        ingest_fresh_all(t, x, value_size)
+                    ingest_flagged(t, x, value_size, trig, tis_on)
                     picked = select_uniform(capacity, t, value_size)
                     if picked:
                         blocks += 1
@@ -622,12 +618,9 @@ def run(config, erasure_pattern=None, record_traces=False):
             row0 = keep
 
     squared = fold.total().tolist()
-    discards = replaced_local + _sal_discards(handler, reader)
-    # TIS publishes the suppressed samples too; compound has no TIS
-    published = triggered_total if filtering and not tis_on else n * (horizon - warmup)
     totals = RunTotals(
-        area, squared[:n], squared[n:],
-        blocks, pad_total, triggered_total, published, delivered_total, discards,
+        area, squared[:n], squared[n:], blocks, pad_total, triggered_total, delivered_total,
+        replaced_local + _sal_discards(handler, reader),
     )
 
     traces = None
@@ -711,7 +704,9 @@ def _result(config, strat, plants, totals, aoi_trace=None, delivery_log=None):
     """RunResult from what a run accumulated over its measured window."""
     n = config.n_loops
     slots = config.horizon - config.warmup
-    area, x_sq, u_sq, blocks, padding, triggered, published, delivered, discards = totals
+    area, x_sq, u_sq, blocks, padding, triggered, delivered, discards = totals
+    # TIS publishes the suppressed samples too; compound has no TIS
+    published = triggered if strat.filtered and not strat.tis else n * slots
     per_loop_lqg = [(pl.q * xs + pl.r * us) / slots for pl, xs, us in zip(plants, x_sq, u_sq)]
     return RunResult(  # positional, in field order
         n, strategy_label(strat), config.seed,

@@ -26,6 +26,10 @@ How the scalar engine's sequential parts map onto arrays:
   buffered atomic value, a queued or in-flight compound packet) keeps a
   shadow estimate that takes the same step each slot, so at delivery
   the shadow already holds the replayed value.
+- Links. As in engine.run, a delivery hands back its sample's
+  generation slot, a compound packet's fate is one flag, UA and FA+TIS
+  discard n - k samples in every slot after slot 0, and engine._result
+  derives `published` for both engines.
 - Stage costs. Per-loop sums of x^2 and u^2 are folded block by block in
   numpy's pairwise summation order (PairwiseFold), so no array spans the
   horizon. Each node of numpy's tree of at most FOLD_CAP values is one
@@ -54,7 +58,8 @@ FOLD_CAP = 1024
 
 
 class RunTotals(NamedTuple):
-    """What a run accumulates over its measured window (slots >= warmup)."""
+    """What a run accumulates over its measured window (slots >= warmup),
+    from which engine._result derives the rest, `published` among it."""
 
     area: list  # per loop: summed age, an integer
     x_sq: list  # per loop: sum of x^2
@@ -62,7 +67,6 @@ class RunTotals(NamedTuple):
     blocks: int
     padding: int  # padding bytes over all sent blocks
     triggered: int
-    published: int
     delivered: int
     discards: int
 
@@ -213,13 +217,13 @@ class _Link:
     """Publish-and-transmit stage of a cell, for all runs at once.
 
     step() runs slot t's ingest, selection and transmission. It returns
-    None when nothing arrives, else (mask, values, ages): the delivered
+    None when nothing arrives, else (mask, values, gens): the delivered
     (run, loop) pairs, their estimates replayed to slot t, and their
-    ages. replay() moves held samples on by one estimator step. Each
-    subclass defines begin_block(), which sizes a block's per-slot
-    records, and end_block(), which adds the block's measured slots to
-    `counts`: blocks, padding bytes, delivered entries and discards, per
-    run.
+    generation slots, shaped to broadcast against the mask. replay()
+    moves held samples on by one estimator step. Each subclass defines
+    begin_block(), which sizes a block's per-slot records, and
+    end_block(), which adds the block's measured slots to `counts`:
+    blocks, padding bytes, delivered entries and discards, per run.
     """
 
     def __init__(self, first, runs):
@@ -247,11 +251,12 @@ class _Atomic(_Link):
         self.a2 = [pl.a * pl.a for pl in plants]
         self.s2 = [pl.sigma_w2 for pl in plants]
         self.tables = [[0.0] for _ in range(n)]  # plant.staleness_cost tables
-        self.prev_sel = np.full(runs, n)  # no buffer is occupied before slot 0
         if self.buffered:
             self.held = np.zeros((runs, n), dtype=bool)
             self.buf_gen = np.zeros((runs, n), dtype=np.int64)
             self.shadow = np.zeros((runs, n))
+        else:  # engine.run's `spare`: each slot overwrites what the last left unsent
+            self.counts[3] = (n - self.k) * (first.horizon - max(first.warmup, 1))
 
     def begin_block(self, rows, age):
         n = self.n
@@ -282,7 +287,7 @@ class _Atomic(_Link):
             _take_top(cost, self.k, self.run_ids)
             np.logical_and(held, cost == -np.inf, out=sel)
             held ^= sel
-            return sel & ok, self.shadow, t - self.buf_gen
+            return sel & ok, self.shadow, self.buf_gen
         if self.tis:
             # admitted loops rank before suppressed ones
             order = np.lexsort((-cost, ~trig))[:, : self.k]
@@ -291,18 +296,14 @@ class _Atomic(_Link):
         else:
             _take_top(cost, self.k, self.run_ids)
             np.equal(cost, -np.inf, out=sel)
-        return sel & ok, x, 0
+        return sel & ok, x, t
 
     def replay(self, a, bu):
         if self.buffered:
             super().replay(a, bu)
 
     def end_block(self, window, arrives):
-        picked = self.sel_rec.sum(axis=2)
-        # each slot's samples overwrite what the previous selection left
-        overwritten = self.n - np.concatenate([self.prev_sel[None], picked[:-1]])
-        self.prev_sel = picked[-1]
-        picked = picked[window]
+        picked = self.sel_rec[window].sum(axis=2)
         sent = picked > 0
         blocks, padding, delivered, discards = self.counts
         blocks += sent.sum(axis=0)
@@ -310,8 +311,6 @@ class _Atomic(_Link):
         delivered += (picked * arrives[window, :, 0]).sum(axis=0)
         if self.buffered:
             discards += self.replaced_rec[window].sum(axis=(0, 2))
-        else:
-            discards += overwritten[window].sum(axis=0)
 
 
 def _take_top(cost, k, run_ids):
@@ -327,9 +326,11 @@ def _take_top(cost, k, run_ids):
 class _Compound(_Link):
     """UC and FC: each run queues a packet of its admitted loops when any admits.
 
-    Under UC every loop admits in every slot. Every run keeps its own queue and fragment timing. Packets are
-    numbered per run in ingest order; packet c is held in ring slot
-    c % ring, which outlasts the packet on the wire.
+    Under UC every loop admits in every slot. Every run keeps its own
+    queue and fragment timing. Packets are numbered per run in ingest
+    order; packet c is held in ring slot c % ring, which outlasts the
+    packet on the wire. `intact` is a packet's fate, as engine.run's
+    `cur_ok`.
     """
 
     def __init__(self, first, runs):
@@ -347,8 +348,6 @@ class _Compound(_Link):
         # packets ingested, oldest queued, on the wire; its fragments left
         self.ingested, self.head, self.cur, self.frag_left = np.zeros((4, runs), dtype=np.int64)
         self.intact = np.zeros(runs, dtype=bool)
-        self.fate = np.zeros(runs, dtype=bool)
-        self.gen_age = np.empty((runs, n), dtype=np.int64)
 
     def begin_block(self, rows, age):
         self.sending_rec, self.finishing_rec, self.done_rec, self.over_rec = np.zeros(
@@ -378,26 +377,23 @@ class _Compound(_Link):
         count = self.count_rec[j]
         count[:] = self.q_count[slot, run_ids]
         np.putmask(frag_left, starting, self.frag_count[count])
-        self.intact |= starting
+        # a packet's first draw sets its fate and, unless loss is per
+        # packet, each later one can clear it; between packets it is stale
         ok = ok[:, 0]
-        if self.per_packet:
-            np.putmask(self.fate, starting, ok)
-            ok = self.fate
+        np.putmask(self.intact, starting, ok)
+        if not self.per_packet:
+            self.intact &= ok
         sending = self.sending_rec[j]
         np.greater(frag_left, 0, out=sending)
         frag_left -= sending
         finishing = self.finishing_rec[j]
         np.logical_and(sending, frag_left == 0, out=finishing)
-        # an erased fragment voids the packet; between packets the flag
-        # is stale until the next start resets it
-        self.intact &= ok
         done = self.done_rec[j]
         np.logical_and(finishing, self.intact, out=done)
         if not done.any():
             return None
         mask = done[:, None] & self.q_mask[slot, run_ids]
-        ages = np.subtract(t, self.q_gen[slot, run_ids, None], out=self.gen_age)
-        return mask, self.shadow[slot, run_ids], ages
+        return mask, self.shadow[slot, run_ids], self.q_gen[slot, run_ids, None]
 
     def end_block(self, window, arrives):
         count = self.count_rec[window]
@@ -480,9 +476,9 @@ def run_lockstep(configs, strat, plants, neg_gain):
                 x_hat *= a
                 x_hat += bu
                 if got is not None:
-                    mask, values, ages = got
+                    mask, values, gens = got
                     np.putmask(x_hat, mask, values)
-                    np.putmask(age, mask, ages)
+                    np.copyto(age, t - gens, where=mask)
                 area += age
                 u = np.multiply(neg_gain, x_hat, out=xu[j, :, n:])
                 bu = b * u
@@ -497,12 +493,10 @@ def run_lockstep(configs, strat, plants, neg_gain):
                 triggered += trig_rec[window].sum(axis=(0, 2))
             link.end_block(window, arrives)
 
-    full = n * slots
     if not filtering:
-        triggered[:] = full
-    published = triggered if filtering and not strat.tis else np.full(runs, full)
+        triggered[:] = n * slots
     blocks, padding, delivered, discards = link.counts
     squared = fold.total().tolist()
     area = area.tolist()
-    columns = np.stack([blocks, padding, triggered, published, delivered, discards], axis=1).tolist()
+    columns = np.stack([blocks, padding, triggered, delivered, discards], axis=1).tolist()
     return [RunTotals(area[r], squared[r][:n], squared[r][n:], *columns[r]) for r in range(runs)]

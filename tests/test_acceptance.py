@@ -3,14 +3,15 @@
 Cheap exact oracles come first: the golden-ratio Riccati fixed point,
 the stationary LQG cost identity on a lossless single loop, a scripted
 erasure sawtooth, an exhaustively enumerated eight-slot instance checked
-against Monte Carlo, UC's closed-form mean age, the deadband
-delivery-blindness regression, wire roundtrip fuzzing and the
-three-fragment delivery probability, plus byte-identity of repeated CLI
-artifacts. The expensive part runs the published grid (UC/FC/UA/FA, N
-in {5, 10, 15, 20}, twenty seeds, 1e5 slots) once per session through
-two module fixtures and asserts the strategy ordering, the
-transmit-if-space benefit, the wall-clock budget and the SHA-256 of
-both grids' results CSVs.
+against Monte Carlo, UC's closed-form mean age, a scripted single
+loop's exact LQG expectation, the deadband delivery-blindness
+regression, wire roundtrip fuzzing and the three-fragment delivery
+probability, plus byte-identity of repeated CLI artifacts. The
+expensive part runs the published grid (UC/FC/UA/FA, N in {5, 10, 15,
+20}, twenty seeds, 1e5 slots) once per session through two module
+fixtures and asserts the strategy ordering, the transmit-if-space
+benefit, the wall-clock budget and the SHA-256 of both grids' results
+CSVs.
 """
 
 import dataclasses
@@ -28,7 +29,7 @@ from salsim.cli import main
 from salsim.engine import SimConfig, run, run_cell, summarize, sweep
 from salsim.mdu import PDU_ENTRY_OVERHEAD, Mdu, SalPdu, deserialize_pdu, serialize_pdu
 from salsim.metrics import write_csv
-from salsim.plant import PlantParams, solve_riccati
+from salsim.plant import PlantParams, solve_riccati, staleness_cost
 from salsim.publisher import DeadbandFilter
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -120,6 +121,54 @@ def test_uc_mean_age_matches_its_closed_form(n, maxlen, loss, capacity, per_pack
     stderr = statistics.stdev(ages) / math.sqrt(seeds)
     assert stderr > 0.0
     assert abs(statistics.fmean(ages) - expected) <= 4.0 * stderr
+
+
+# erasure runs of 1, 2, 3 and 4 slots, each after one delivery
+LQG_SCRIPT = [erased for gap in (1, 2, 3, 4) * 3 for erased in [False] + [True] * gap][:40]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a", [1.0, 1.2])
+def test_scripted_single_loop_lqg_matches_its_exact_expectation(a):
+    # one UA loop sends its fresh sample every slot, so the script alone
+    # decides what the controller knows: x_t and x_hat_t are linear in
+    # the noise w_0..w_t, and coefficient vectors give E[q x^2 + r u^2]
+    # exactly. The estimation error after d erasures has variance g(d),
+    # the staleness cost that the ranking reads
+    plant = PlantParams(a=a)
+    config = SimConfig(n_loops=1, strategy="UA", horizon=40, warmup=0, plants=[plant])
+    horizon = config.horizon
+    gain = solve_riccati(plant.a, plant.b, plant.q, plant.r)[1]
+    table = [0.0]
+    x = np.zeros(horizon)
+    x[0] = 1.0  # x_0 = w_0; the estimate starts at zero with no input
+    x_hat = np.zeros(horizon)
+    erasures = 0
+    expected = 0.0
+    for t in range(horizon):
+        if not LQG_SCRIPT[t]:
+            x_hat = x.copy()
+            erasures = 0
+        else:
+            erasures += 1
+        error = plant.sigma_w2 * float(np.sum((x - x_hat) ** 2))
+        g = staleness_cost(table, plant.a * plant.a, plant.sigma_w2, erasures)
+        assert error == pytest.approx(g, rel=1e-12, abs=0.0), (t, erasures)
+        u = -gain * x_hat
+        expected += plant.sigma_w2 * float(plant.q * np.sum(x**2) + plant.r * np.sum(u**2))
+        if t + 1 < horizon:
+            x = plant.a * x + plant.b * u
+            x[t + 1] = 1.0
+            x_hat = plant.a * x_hat + plant.b * u
+    expected /= horizon
+    seeds = 20_000
+    costs = [
+        run(dataclasses.replace(config, seed=s), erasure_pattern=LQG_SCRIPT).mean_lqg
+        for s in range(seeds)
+    ]
+    stderr = statistics.stdev(costs) / math.sqrt(seeds)
+    assert stderr > 0.0
+    assert abs(statistics.fmean(costs) - expected) <= 4.0 * stderr
 
 
 def test_erased_admission_silences_the_loop_until_the_band_is_left():

@@ -27,9 +27,15 @@ BASE = dict(n_loops=4, horizon=300, warmup=40, loss_prob=0.25, seed=11, repetiti
 CELLS = [
     ("all strategies", {}, ["UC", "FC", "UA", "FA", "FA+TIS"]),
     ("per-packet loss", dict(per_packet_loss=True), ["UC", "FC"]),
+    # one fragment per packet: a packet's start and its only fragment
+    # share one draw
+    ("per-packet loss, one fragment", dict(per_packet_loss=True, tb_capacity=200), ["UC", "FC"]),
+    ("per-packet loss, queue of one", dict(per_packet_loss=True, compound_maxlen=1), ["UC", "FC"]),
     ("one entry per block", dict(tb_capacity=30), ["UA", "FA", "FA+TIS"]),
     ("small fragments", dict(tb_capacity=16), ["UC", "FC"]),
     ("no warmup", dict(warmup=0), ["UC", "FC", "UA", "FA", "FA+TIS"]),
+    # the first measured slot is the first whose ingest can overwrite
+    ("warmup of one", dict(warmup=1), ["UC", "FC", "UA", "FA", "FA+TIS"]),
     ("lossless", dict(loss_prob=0.0), ["UC", "FC", "UA", "FA", "FA+TIS"]),
     ("heavy loss", dict(loss_prob=0.9), ["UC", "FC", "UA", "FA", "FA+TIS"]),
     ("zero deadband", dict(deadband=0.0), ["FC", "FA", "FA+TIS"]),
