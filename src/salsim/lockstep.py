@@ -257,11 +257,12 @@ class _Atomic(_Link):
             self.shadow = np.zeros((runs, n))
         else:  # engine.run's `spare`: each slot overwrites what the last left unsent
             self.counts[3] = (n - self.k) * (first.horizon - max(first.warmup, 1))
+            self.sel = np.empty((runs, n), dtype=bool)
 
     def begin_block(self, rows, age):
         n = self.n
-        self.sel_rec = np.empty((rows, self.runs, n), dtype=bool)
-        if self.buffered:
+        if self.buffered:  # FA's picks vary; UA and FA+TIS pick k in every slot
+            self.sel_rec = np.empty((rows, self.runs, n), dtype=bool)
             self.replaced_rec = np.empty((rows, self.runs, n), dtype=bool)
         # the cost tables must reach every age this block can see; the
         # first block always grows them, as its ages reach at least 1
@@ -276,8 +277,8 @@ class _Atomic(_Link):
 
     def step(self, j, t, x, trig, age, ok):
         cost = self.flat_table[age + self.row_base]
-        sel = self.sel_rec[j]
         if self.buffered:
+            sel = self.sel_rec[j]
             held = self.held
             np.logical_and(trig, held, out=self.replaced_rec[j])
             np.putmask(self.buf_gen, trig, t)
@@ -288,6 +289,7 @@ class _Atomic(_Link):
             np.logical_and(held, cost == -np.inf, out=sel)
             held ^= sel
             return sel & ok, self.shadow, self.buf_gen
+        sel = self.sel
         if self.tis:
             # admitted loops rank before suppressed ones
             order = np.lexsort((-cost, ~trig))[:, : self.k]
@@ -303,14 +305,17 @@ class _Atomic(_Link):
             super().replay(a, bu)
 
     def end_block(self, window, arrives):
-        picked = self.sel_rec[window].sum(axis=2)
-        sent = picked > 0
         blocks, padding, delivered, discards = self.counts
+        arrived = arrives[window, :, 0]
+        if self.buffered:
+            picked = self.sel_rec[window].sum(axis=2)
+            discards += self.replaced_rec[window].sum(axis=(0, 2))
+        else:
+            picked = np.full(arrived.shape, self.k)
+        sent = picked > 0
         blocks += sent.sum(axis=0)
         padding += (sent * (self.capacity - PDU_HEADER_SIZE - picked * self.entry_size)).sum(axis=0)
-        delivered += (picked * arrives[window, :, 0]).sum(axis=0)
-        if self.buffered:
-            discards += self.replaced_rec[window].sum(axis=(0, 2))
+        delivered += (picked * arrived).sum(axis=0)
 
 
 def _take_top(cost, k, run_ids):

@@ -5,6 +5,7 @@ trigger-rate fractions, an exhaustive small-horizon cross-check of the
 freshness recurrence, and determinism / stream-alignment properties.
 """
 
+import collections
 import concurrent.futures
 import dataclasses
 import math
@@ -202,7 +203,32 @@ NOISE_BLOCK_CASES = [
         (6, 7, 0),
     ),
     ("UC deep queue", dict(strategy="UC", compound_maxlen=50), (59, 3, 29)),
+    # six loops send three-fragment packets (blocks of 2 = F - 1 slots
+    # among the sizes), and both warm-ups fall inside a packet
+    ("UC three fragments", dict(strategy="UC", n_loops=6), (14, 5, 5)),
+    ("UC three fragments, queue of one", dict(strategy="UC", n_loops=6, compound_maxlen=1), None),
+    ("UC per packet", dict(strategy="UC", per_packet_loss=True), None),
 ]
+
+
+def record_noise_blocks(monkeypatch):
+    """The row counts of run()'s noise draws, in order, from now on."""
+    drawn = []
+    draw = engine._noise
+
+    def recorded(rng, rows, scale):
+        drawn.append(rows)
+        return draw(rng, rows, scale)
+
+    monkeypatch.setattr(engine, "_noise", recorded)
+    return drawn
+
+
+def noise_blocks(horizon, block):
+    """Row counts of a run's noise draws in blocks of `block` slots: the
+    first block also draws x_0's row."""
+    block = min(block, horizon)
+    return [min(block, horizon - s) + (s == 0) for s in range(0, horizon, block)]
 
 
 @pytest.mark.parametrize(
@@ -213,14 +239,19 @@ def test_noise_row_blocks_leave_every_field_unchanged(monkeypatch, overrides, de
     # to what a held sample may still replay: blocks of one and two
     # slots, blocks that end mid-run, a measured window that starts in
     # a later block, and horizon + 1 just below, at and just above
-    # BLOCK (the one-generator case) must all give the same run
+    # BLOCK (the one-generator case) must all give the same run. Each
+    # run must also draw its noise in blocks of engine.BLOCK, or the
+    # comparison would pass with any block size
+    drawn = record_noise_blocks(monkeypatch)
     for warmup in (5, 25):
         c = cfg(**{**dict(n_loops=4, deadband=0.4, loss_prob=0.25, horizon=61, warmup=warmup, seed=13), **overrides})
         h = c.horizon
         results = []
         for rows in (h + 50, 1, 2, 7, h - 1, h, h + 1, h + 2):
             monkeypatch.setattr(engine, "BLOCK", rows)
+            drawn.clear()
             results.append(run(c, record_traces=True))
+            assert drawn == noise_blocks(h, rows)
         log = results[0].delivery_log
         assert log and results[0].aoi_trace
         assert all(res == results[0] for res in results[1:])
@@ -245,6 +276,67 @@ def test_replay_reads_held_inputs_and_the_current_block(monkeypatch, tok):
     assert any(gen < slot - slot % 7 for slot, _loop, gen in log)
     assert any(slot - slot % 7 <= gen < slot for slot, _loop, gen in log)
     assert res == whole
+
+
+def scripted_uc_log(n, horizon, fragments, maxlen, erased, per_packet):
+    """(slot, loop, gen) deliveries of UC over a scripted link.
+
+    Every slot queues a packet of all n loops, the queue drops its
+    oldest packet past maxlen, and an idle wire takes the oldest queued
+    packet, which arrives when its first block does and, unless loss is
+    per packet, every later one too.
+    """
+    queue = collections.deque(maxlen=maxlen)
+    log = []
+    left = 0
+    for t in range(horizon):
+        queue.append(t)
+        if not left:
+            gen = queue.popleft()
+            left = fragments
+            ok = not erased[t]
+        elif erased[t] and not per_packet:
+            ok = False
+        left -= 1
+        if not left and ok:
+            log.extend((t, i, gen) for i in range(n))
+    return log
+
+
+# (case, overrides, fragments per packet): run() steps UC loop by loop
+# over blocks of BLOCK slots, so blocks of F - 1, F and F + 1 slots, with
+# packets that straddle their ends, must give the one-block run, and the
+# whole delivery log must follow UC's fixed schedule
+UC_SCHEDULE_CASES = [
+    ("one fragment", dict(tb_capacity=2000), 1),
+    ("three fragments", dict(n_loops=6), 3),
+    ("three fragments per packet", dict(n_loops=6, per_packet_loss=True), 3),
+    ("three fragments, queue of one", dict(n_loops=6, compound_maxlen=1), 3),
+    ("four fragments, deep queue", dict(n_loops=8, compound_maxlen=20), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides,fragments", [c[1:] for c in UC_SCHEDULE_CASES], ids=[c[0] for c in UC_SCHEDULE_CASES]
+)
+def test_uc_schedule_over_blocks_around_the_fragment_count(monkeypatch, overrides, fragments):
+    c = cfg(**{**dict(n_loops=4, strategy="UC", horizon=70, warmup=7, seed=5), **overrides})
+    erased = [t % 5 == 2 or t % 7 == 0 for t in range(c.horizon)]
+    whole = run(c, erasure_pattern=erased, record_traces=True)
+    expected = scripted_uc_log(
+        c.n_loops, c.horizon, fragments, c.compound_maxlen, erased, c.per_packet_loss
+    )
+    assert whole.delivery_log == expected and expected
+    drawn = record_noise_blocks(monkeypatch)
+    earlier = []  # whether some delivery replays a sample of an earlier block
+    for block in (max(fragments - 1, 1), fragments, fragments + 1):
+        monkeypatch.setattr(engine, "BLOCK", block)
+        drawn.clear()
+        res = run(c, erasure_pattern=erased, record_traces=True)
+        assert res == whole, block
+        assert drawn == noise_blocks(c.horizon, block)
+        earlier.append(any(gen < slot - slot % block for slot, _loop, gen in res.delivery_log))
+    assert any(earlier) is (fragments > 1)
 
 
 def python_output(code):

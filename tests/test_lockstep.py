@@ -41,6 +41,19 @@ CELLS = [
     ("zero deadband", dict(deadband=0.0), ["FC", "FA", "FA+TIS"]),
     ("wide deadband", dict(deadband=4.0), ["FC", "FA", "FA+TIS"]),
     ("queue of one", dict(compound_maxlen=1), ["UC", "FC"]),
+    # UC's link is a fixed schedule; run() steps it a block at a time.
+    # One fragment per packet: every delivery carries its own slot
+    ("one fragment, several blocks", dict(tb_capacity=2000, horizon=1100, warmup=600), ["UC", "FC"]),
+    # six loops send three fragments, so packets straddle the 512-slot
+    # block ends, and the first deliveries of a block replay samples of
+    # the block before; the first measured slot is a packet's second
+    (
+        "three fragments, several blocks",
+        dict(n_loops=6, horizon=1100, warmup=514),
+        ["UC", "FC"],
+    ),
+    ("queue of one, several blocks", dict(compound_maxlen=1, horizon=1100, warmup=600), ["UC", "FC"]),
+    ("warmup inside a packet", dict(warmup=41), ["UC", "FC"]),
     ("one loop", dict(n_loops=1), ["UC", "FC", "UA", "FA", "FA+TIS"]),
     ("whole group fits", dict(n_loops=3, tb_capacity=200), ["UA", "FA", "FA+TIS"]),
     ("many loops", dict(n_loops=12, horizon=200, warmup=20), ["UC", "FC", "UA", "FA", "FA+TIS"]),
@@ -212,8 +225,11 @@ def test_single_seed_and_object_policies_keep_calling_run(monkeypatch):
 
 # (loops, strategy, seeds, policy, whether the cell takes the pass)
 ROUTES = [
-    (5, "UC", 17, "AOI_COST", True),
+    (5, "UC", 18, "AOI_COST", True),
+    (5, "UC", 17, "AOI_COST", False),
     (5, "UC", 16, "AOI_COST", False),
+    (20, "UC", 10, "AOI_COST", True),
+    (20, "UC", 9, "AOI_COST", False),
     (5, "FA", 9, "AOI_COST", True),
     (5, "FA", 8, "AOI_COST", False),
     (20, "FC", 7, "AOI_COST", True),
