@@ -34,13 +34,13 @@ UC's link is a fixed schedule. Every loop admits in every slot, so each
 slot queues a packet of all loops: when each packet goes on the wire
 and which generation it carries depend only on compound_maxlen and the
 fragment count, and the link draws decide only whether it arrives.
-UC therefore goes by blocks, not slots. A schedule pass runs the block's
-slots through the aggregation layer's queue without touching a plant,
-and lists the block's (slot, generation) deliveries, its counters and
-the one age total that all loops share. Then each loop steps through the
-whole block on its own, in locals, and at each delivery replays x_gen
-over the inputs since, from its own block or from the rows of earlier
-blocks, with the same steps in the same order as the per-slot path.
+UC's slots run through the slot loop's compound wire, as FC's do, but
+not through its pass over the plants: each delivery lists its (slot,
+generation) and moves the one age total that all loops share. At the
+block's end each loop steps through the whole block on its own, in
+locals, and at each delivery replays x_gen over the inputs since, from
+its own block or from the rows of earlier blocks, with the same steps
+in the same order as the per-slot path.
 
 A run holds the same memory whatever its horizon. Slots go by in the
 lockstep engine's blocks of lockstep.BLOCK (512): each block draws its
@@ -154,7 +154,7 @@ class SimConfig:
             sigma_w2, q, r = self.sigma_w2, self.q, self.r
             made = [
                 PlantParams(ai, 1.0, sigma_w2, q, r)
-                for ai in _linspace(self.a_min, self.a_max, self.n_loops)
+                for ai in _poles(self.a_min, self.a_max, self.n_loops)
             ]
         for plant in made:
             plant.validate()
@@ -343,8 +343,6 @@ def run(config, erasure_pattern=None, record_traces=False):
     policy = Policy[config.policy]
     rank = policy is Policy.AOI_COST and not compound_mode
     buffered = rank and filtering and not tis_on  # FA
-    # passes of slots t < rank_until rank slot t+1; no slot follows the last
-    rank_until = horizon - 1 if rank else -1
     handler = reader = None
     if not rank:
         session = SessionHandler()
@@ -388,8 +386,10 @@ def run(config, erasure_pattern=None, record_traces=False):
     # deadband reference per loop; +inf admits the first sample
     last_ref = [float("inf")] * n
     trig = [not filtering] * n  # admission flags, read by the object ingest
-    # the rank pass counts the next slot's admitted samples from pend0
-    pend0 = 0 if filtering else n
+    # the rank pass counts the next slot's admitted samples from pend0;
+    # UC, which has no plant pass in the slot loop, admits every loop
+    pend = pend0 = 0 if filtering else n
+    fresh = range(n)
 
     entry_size = PDU_ENTRY_OVERHEAD + value_size
     room = capacity - PDU_HEADER_SIZE
@@ -410,16 +410,16 @@ def run(config, erasure_pattern=None, record_traces=False):
 
     # compound pipeline state: the packet currently on the wire, its
     # remaining fragment budget, the padding of its last fragment and
-    # whether it still arrives
+    # whether it still arrives; a packet of c entries takes frag_table[c]
     frag_left = 0
     last_pad = 0
     cur_gen = 0
     cur_ok = False
+    if compound_mode:
+        frag_table = [fragment_layout(1 + c * entry_size, capacity) for c in range(n + 1)]
     if uc:
         # UC packets carry every loop, so all loops share one anchor and
         # one age total; each block's (u_t, x_t+1) rows are gathered here
-        all_ids = range(n)
-        layout = fragment_layout(1 + n * entry_size, capacity)
         uc_anchor, uc_area = -1, area[0]
         gathered = np.empty((block + 1, width))
 
@@ -438,34 +438,189 @@ def run(config, erasure_pattern=None, record_traces=False):
             arrives = [not erased for erased in erasure_pattern[s : s + size]]
         else:
             arrives = (link_rng.random(size) >= config.loss_prob).tolist()
-        if uc:
-            # the schedule pass (see the module docstring): its slots'
-            # packets go on the wire as the queue decides
-            got = []  # (slot, gen) of the block's deliveries
-            for j in range(size):
-                t = s + j
-                if t == warmup:
+        uc_got = []  # (slot, gen) of the block's UC deliveries
+        if not uc:
+            noise = noise.tolist()
+            if not s:
+                noise.append(noise.pop(0))  # slot -1 reads row 0 as noise[-1]
+        # slot -1 sends nothing: its pass only draws x_0 and ranks slot 0
+        for j in range(-1 if s == 0 else 0, size):
+            t = s + j
+            if t >= 0:
+                if t == warmup:  # the counters cover the measured slots only
                     blocks = pad_total = triggered_total = delivered_total = 0
                     replaced_local = -_sal_discards(handler, reader)
-                triggered_total += n
-                handler.ingest_compound((t, all_ids))
-                if not frag_left:  # the queue is never empty here
-                    cur_gen, cur_ids = handler.next_compound()
-                    frag_left, last_pad = layout
-                    cur_ok = arrives[j]
-                elif not (per_packet or arrives[j]):
-                    cur_ok = False
-                blocks += 1
-                frag_left -= 1
-                if not frag_left:
-                    pad_total += last_pad
-                    if cur_ok:
-                        got.append((t, cur_gen))
-                        uc_area += (uc_anchor - cur_gen) * (horizon - (t if t > warmup else warmup))
+
+                # -------------------------------------- publish and transmit
+                triggered_total += pend
+                got = ()
+                if compound_mode:
+                    if pend:
+                        handler.ingest_compound((t, fresh))
+                    if not frag_left:
+                        packet = handler.next_compound()
+                        if packet is not None:
+                            cur_gen, cur_ids = packet
+                            frag_left, last_pad = frag_table[len(cur_ids)]
+                            cur_ok = arrives[j]
+                    elif not (per_packet or arrives[j]):  # per packet, the first draw decides
+                        cur_ok = False
+                    if frag_left:
+                        blocks += 1
+                        frag_left -= 1
+                        if not frag_left:
+                            pad_total += last_pad
+                            if cur_ok:
+                                got = cur_ids
+                                for i in got:
+                                    got_gen[i] = cur_gen
+                elif rank:
+                    # send what the last pass ranked (FA+TIS: the admitted
+                    # tier first), less the padding of a short tier
+                    replaced_local += overwrites
+                    overwrites = spare
+                    sent = top_id
+                    if sent[-1] < 0:
+                        sent = [i for i in top_id + low_id if i >= 0][:k]
+                    if sent:
+                        blocks += 1
+                        pad_total += room - len(sent) * entry_size
+                        if buffered:
+                            for i in sent:
+                                got_gen[i] = buf_gen[i]
+                                buf_gen[i] = -1
+                            if arrives[j]:
+                                got = sent
+                        elif arrives[j]:
+                            got = sent
+                            for i in got:
+                                got_gen[i] = t
+                else:
+                    if filtering:
+                        trig = [False] * n
+                        for i in fresh:
+                            trig[i] = True
+                    ingest_flagged(t, x, value_size, trig, tis_on)
+                    picked = select_uniform(capacity, t, value_size)
+                    if picked:
+                        blocks += 1
+                        pdu = compose_pdu(
+                            [
+                                Mdu(e[0], e[1], encode_value(e[2], value_size))
+                                for e in picked
+                            ],
+                            capacity,
+                        )
+                        pad_total += pdu.padding_bytes
+                        if arrives[j]:
+                            # FIFO and ROUND_ROBIN read no acknowledgement
+                            got = []
+                            for mdu, _subs in process(pdu, t)[0]:
+                                got.append(mdu.id)
+                                got_gen[mdu.id] = mdu.gen_time
+
+                # ----------- deliveries replace their loops' estimates
+                if got:
+                    left = horizon - (t if t > warmup else warmup)
+                    if uc:  # the block step below replays every loop
+                        uc_got.append((t, cur_gen))
+                        uc_area += (uc_anchor - cur_gen) * left
                         uc_anchor = cur_gen
-                        delivered_total += n
-                        if delivery_log is not None:
-                            delivery_log.extend([(t, i, cur_gen) for i in cur_ids])
+                    else:
+                        now = (t - row0) * width
+                        for i in got:
+                            gen = got_gen[i]
+                            if gen == t:
+                                xh = x[i]
+                            else:  # x_gen from its row, then replay the inputs u_gen..u_t-1
+                                at = (gen - row0) * width + i
+                                xh = rows[at]
+                                ai, bi, _ = par[i]
+                                for uk in rows[at + n : now : width]:
+                                    xh = ai * xh + bi * uk
+                            x_hat[i] = xh
+                            area[i] += (anchor[i] - gen) * left
+                            anchor[i] = gen
+                    delivered_total += len(got)
+                    if delivery_log is not None:
+                        delivery_log.extend(sorted([(t, i, got_gen[i]) for i in got]))
+
+            # ------ controller update for t, plant step and sampling for t+1
+            if uc:
+                continue  # UC steps its block loop by loop below
+            row = noise[j]
+            pend = pend0
+            if rank:
+                # admit, buffer and rank slot t+1's samples as they are
+                # drawn. Ids ascend, so the lower id wins a cost tie: an
+                # equal cost neither displaces nor passes its equal
+                t1 = t + 1
+                top_cost = pad_cost.copy()
+                top_id = pad_id.copy()
+                if tis_on:
+                    low_cost = pad_cost.copy()
+                    low_id = pad_id.copy()
+                costs, ids, floor = top_cost, top_id, -1.0
+                for i in range(n):
+                    ai, bi, ngi = par[i]
+                    xh = x_hat[i]
+                    ui = ngi * xh
+                    u[i] = ui
+                    xi = ai * x[i] + bi * ui + row[i]
+                    x[i] = xi
+                    x_hat[i] = ai * xh + bi * ui
+                    if filtering:
+                        if abs(xi - last_ref[i]) > threshold:
+                            last_ref[i] = xi
+                            pend += 1
+                            if buffered:
+                                if buf_gen[i] >= 0:
+                                    overwrites += 1
+                                buf_gen[i] = t1
+                            elif ids is not top_id:
+                                costs, ids, floor = top_cost, top_id, top_cost[last]
+                        elif buffered:
+                            if buf_gen[i] < 0:
+                                continue
+                        elif top_id[last] >= 0:
+                            continue  # k admitted samples fill the block
+                        else:  # FA+TIS ranks a suppressed sample behind every admitted one
+                            costs, ids, floor = low_cost, low_id, low_cost[last]
+                    delta = t1 - anchor[i]
+                    tab = g_tab[i]
+                    if delta < len(tab):
+                        cost = tab[delta]
+                    else:
+                        cost = staleness_cost(tab, ai * ai, plants[i].sigma_w2, delta)
+                    if cost > floor:
+                        pos = last
+                        while pos and costs[pos - 1] < cost:
+                            costs[pos] = costs[pos - 1]
+                            ids[pos] = ids[pos - 1]
+                            pos -= 1
+                        costs[pos] = cost
+                        ids[pos] = i
+                        floor = costs[last]
+            else:
+                fresh = []  # the ids admitted for slot t+1, ascending
+                for i in range(n):
+                    ai, bi, ngi = par[i]
+                    xh = x_hat[i]
+                    ui = ngi * xh
+                    u[i] = ui
+                    xi = ai * x[i] + bi * ui + row[i]
+                    x[i] = xi
+                    x_hat[i] = ai * xh + bi * ui
+                    if filtering:
+                        d = xi - last_ref[i]
+                        if d > threshold or d < low:  # abs(d) > threshold, nan too
+                            last_ref[i] = xi
+                            fresh.append(i)
+                if filtering:
+                    pend = len(fresh)
+            rows.fromlist(u)
+            rows.fromlist(x)
+        if uc:
             # a pass per loop over the block's slots (from slot -1 in the
             # first block), as slices of the list of slots between
             # deliveries: each delivery replays x_gen over u_gen..u_t-1
@@ -473,8 +628,8 @@ def run(config, erasure_pattern=None, record_traces=False):
             first = s - (not s)
             back = (first - row0) * width  # where x_first's row starts in rows
             passes = len(noise)
-            marks = [t - first for t, _gen in got]
-            gens = [gen - first for _t, gen in got]
+            marks = [t - first for t, _gen in uc_got]
+            gens = [gen - first for _t, gen in uc_got]
             spans = list(zip([0, *marks], [*marks, passes], [None, *gens]))
             # one loop's column of noise at a time, as Python floats
             for i, col in enumerate(map(np.ndarray.tolist, noise.T)):
@@ -508,182 +663,6 @@ def run(config, erasure_pattern=None, record_traces=False):
                 gathered[:passes, i] = np.frombuffer(pack(doubles, *us))
                 gathered[:passes, n + i] = np.frombuffer(pack(doubles, *xs[1:]))
             rows.frombytes(memoryview(gathered[:passes]).cast("B"))
-        else:
-            noise = noise.tolist()
-            if not s:
-                noise.append(noise.pop(0))  # slot -1 reads row 0 as noise[-1]
-            # slot -1 sends nothing: its pass only draws x_0 and ranks slot 0
-            for j in range(-1 if s == 0 else 0, size):
-                t = s + j
-                if t >= 0:
-                    if t == warmup:  # the counters cover the measured slots only
-                        blocks = pad_total = triggered_total = delivered_total = 0
-                        replaced_local = -_sal_discards(handler, reader)
-
-                    # -------------------------------------- publish and transmit
-                    triggered_total += pend
-                    got = ()
-                    if compound_mode:  # FC: UC stepped its block above
-                        if pend:
-                            handler.ingest_compound((t, fresh))
-                        if not frag_left:
-                            packet = handler.next_compound()
-                            if packet is not None:
-                                cur_gen, cur_ids = packet
-                                frag_left, last_pad = fragment_layout(
-                                    1 + len(cur_ids) * entry_size, capacity
-                                )
-                                cur_ok = arrives[j]
-                        elif not (per_packet or arrives[j]):  # per packet, the first draw decides
-                            cur_ok = False
-                        if frag_left:
-                            blocks += 1
-                            frag_left -= 1
-                            if not frag_left:
-                                pad_total += last_pad
-                                if cur_ok:
-                                    got = cur_ids
-                                    for i in got:
-                                        got_gen[i] = cur_gen
-                    elif rank:
-                        # send what the last pass ranked (FA+TIS: the admitted
-                        # tier first), less the padding of a short tier
-                        replaced_local += overwrites
-                        overwrites = spare
-                        sent = top_id
-                        if sent[-1] < 0:
-                            sent = [i for i in top_id + low_id if i >= 0][:k]
-                        if sent:
-                            blocks += 1
-                            pad_total += room - len(sent) * entry_size
-                            if buffered:
-                                for i in sent:
-                                    got_gen[i] = buf_gen[i]
-                                    buf_gen[i] = -1
-                                if arrives[j]:
-                                    got = sent
-                            elif arrives[j]:
-                                got = sent
-                                for i in got:
-                                    got_gen[i] = t
-                    else:
-                        if filtering:
-                            trig = [False] * n
-                            for i in fresh:
-                                trig[i] = True
-                        ingest_flagged(t, x, value_size, trig, tis_on)
-                        picked = select_uniform(capacity, t, value_size)
-                        if picked:
-                            blocks += 1
-                            pdu = compose_pdu(
-                                [
-                                    Mdu(e[0], e[1], encode_value(e[2], value_size))
-                                    for e in picked
-                                ],
-                                capacity,
-                            )
-                            pad_total += pdu.padding_bytes
-                            if arrives[j]:
-                                # FIFO and ROUND_ROBIN read no acknowledgement
-                                got = []
-                                for mdu, _subs in process(pdu, t)[0]:
-                                    got.append(mdu.id)
-                                    got_gen[mdu.id] = mdu.gen_time
-
-                    # ----------- deliveries replace their loops' estimates
-                    if got:
-                        now = (t - row0) * width
-                        left = horizon - (t if t > warmup else warmup)
-                        for i in got:
-                            gen = got_gen[i]
-                            if gen == t:
-                                xh = x[i]
-                            else:  # x_gen from its row, then replay the inputs u_gen..u_t-1
-                                at = (gen - row0) * width + i
-                                xh = rows[at]
-                                ai, bi, _ = par[i]
-                                for uk in rows[at + n : now : width]:
-                                    xh = ai * xh + bi * uk
-                            x_hat[i] = xh
-                            area[i] += (anchor[i] - gen) * left
-                            anchor[i] = gen
-                        delivered_total += len(got)
-                        if delivery_log is not None:
-                            delivery_log.extend(sorted([(t, i, got_gen[i]) for i in got]))
-
-                # ------ controller update for t, plant step and sampling for t+1
-                row = noise[j]
-                pend = pend0
-                if t < rank_until:
-                    # admit, buffer and rank slot t+1's samples as they are
-                    # drawn. Ids ascend, so the lower id wins a cost tie: an
-                    # equal cost neither displaces nor passes its equal
-                    t1 = t + 1
-                    top_cost = pad_cost.copy()
-                    top_id = pad_id.copy()
-                    if tis_on:
-                        low_cost = pad_cost.copy()
-                        low_id = pad_id.copy()
-                    costs, ids, floor = top_cost, top_id, -1.0
-                    for i in range(n):
-                        ai, bi, ngi = par[i]
-                        xh = x_hat[i]
-                        ui = ngi * xh
-                        u[i] = ui
-                        xi = ai * x[i] + bi * ui + row[i]
-                        x[i] = xi
-                        x_hat[i] = ai * xh + bi * ui
-                        if filtering:
-                            if abs(xi - last_ref[i]) > threshold:
-                                last_ref[i] = xi
-                                pend += 1
-                                if buffered:
-                                    if buf_gen[i] >= 0:
-                                        overwrites += 1
-                                    buf_gen[i] = t1
-                                elif ids is not top_id:
-                                    costs, ids, floor = top_cost, top_id, top_cost[last]
-                            elif buffered:
-                                if buf_gen[i] < 0:
-                                    continue
-                            elif top_id[last] >= 0:
-                                continue  # k admitted samples fill the block
-                            else:  # FA+TIS ranks a suppressed sample behind every admitted one
-                                costs, ids, floor = low_cost, low_id, low_cost[last]
-                        delta = t1 - anchor[i]
-                        tab = g_tab[i]
-                        if delta < len(tab):
-                            cost = tab[delta]
-                        else:
-                            cost = staleness_cost(tab, ai * ai, plants[i].sigma_w2, delta)
-                        if cost > floor:
-                            pos = last
-                            while pos and costs[pos - 1] < cost:
-                                costs[pos] = costs[pos - 1]
-                                ids[pos] = ids[pos - 1]
-                                pos -= 1
-                            costs[pos] = cost
-                            ids[pos] = i
-                            floor = costs[last]
-                else:
-                    fresh = []  # the ids admitted for slot t+1, ascending
-                    for i in range(n):
-                        ai, bi, ngi = par[i]
-                        xh = x_hat[i]
-                        ui = ngi * xh
-                        u[i] = ui
-                        xi = ai * x[i] + bi * ui + row[i]
-                        x[i] = xi
-                        x_hat[i] = ai * xh + bi * ui
-                        if filtering:
-                            d = xi - last_ref[i]
-                            if d > threshold or d < low:  # abs(d) > threshold, nan too
-                                last_ref[i] = xi
-                                fresh.append(i)
-                    if filtering:
-                        pend = len(fresh)
-                rows.fromlist(u)
-                rows.fromlist(x)
 
         # the block's measured slots join the stage-cost sums
         end = s + size
@@ -741,26 +720,15 @@ def run(config, erasure_pattern=None, record_traces=False):
     return _result(config, strat, plants, totals, traces, delivery_log)
 
 
-def _linspace(start, stop, num):
-    """np.linspace(start, stop, num) as Python floats, bit for bit.
+@lru_cache(maxsize=256, typed=True)
+def _poles(a_min, a_max, n_loops):
+    """The default plants' poles, np.linspace(a_min, a_max, n_loops), as floats.
 
-    The same operations in the same order as numpy's: start + j * step
-    with the last point set to stop, and (j / div) * delta when the step
-    underflows to zero. make_plants runs twice per run(), and numpy's
-    per-call overhead was most of its time.
+    make_plants runs twice per run(), and numpy's per-call cost was most
+    of its time. As for _neg_gain, keys that compare equal share their
+    poles: a zero of either sign gives the same run.
     """
-    start, stop = float(start), float(stop)
-    delta = stop - start
-    if num == 1:
-        return [start + 0.0 * delta]
-    div = num - 1
-    step = delta / div
-    if step == 0:
-        grid = [start + j / div * delta for j in range(div)]
-    else:
-        grid = [start + j * step for j in range(div)]
-    grid.append(stop)
-    return grid
+    return tuple(np.linspace(a_min, a_max, n_loops).tolist())
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -885,15 +853,16 @@ def _takes_lockstep(configs):
 
     Only AOI_COST cells of two or more seeds qualify. A pass pays a
     fixed cost per slot whatever the number of runs, while each seed it
-    carries saves about 2 + n/2 us of run()'s slot loop at n loops, or
-    3 + n/4 us for UC, which run() steps a block at a time; the pass is
-    taken once the savings exceed the fixed cost. Every timed cell that
-    the rule sends to the pass runs faster there than in run(), at 1-40
-    loops and 1-20 seeds. Re-timed against the one-pass run(), UA and FA
-    cells first ran faster in the pass at 6-8 seeds of 5 loops and 3-4
-    of 20, and the rule still takes it from 9 and 4; against the
-    block-stepped UC, UC cells did from 18 seeds of 5 loops and 10 of
-    20, and FC cells from 14 and 6, which the rule takes from 17 and 7.
+    carries saves about 2 + n/2 us of run()'s slot loop at n loops for
+    UA and FA, 3 + n/2 us for FC and 3 + n/4 us for UC, which run()
+    steps a block at a time; the pass is taken once the savings exceed
+    the fixed cost. Every timed cell that the rule sends to the pass runs
+    faster there than in run(), at 1-40 loops and 1-20 seeds. Re-timed
+    against the one-pass run(), UA and FA cells first ran faster in the
+    pass at 6-8 seeds of 5 loops and 3-4 of 20, and the rule still takes
+    it from 9 and 4; against the block-stepped UC, UC cells did from 18
+    seeds of 5 loops and 10 of 20, and FC cells from 14 and 6, where the
+    rule takes the pass too.
     """
     first = configs[0]
     if len(configs) < 2 or first.policy != Policy.AOI_COST.name:
@@ -902,7 +871,7 @@ def _takes_lockstep(configs):
     strat = first.resolved_strategy()
     if not strat.compound:
         return len(configs) * (2 + n / 2) > LOCKSTEP_ATOMIC_US
-    saved = 2 + n / 2 if strat.filtered else 3 + n / 4
+    saved = 3 + (n / 2 if strat.filtered else n / 4)
     return len(configs) * saved > LOCKSTEP_COMPOUND_US
 
 

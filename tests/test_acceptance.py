@@ -3,10 +3,11 @@
 Cheap exact oracles come first: the golden-ratio Riccati fixed point,
 the stationary LQG cost identity on a lossless single loop, a scripted
 erasure sawtooth, an exhaustively enumerated eight-slot instance checked
-against Monte Carlo, UC's closed-form mean age, a scripted single
-loop's exact LQG expectation, the deadband delivery-blindness
-regression, wire roundtrip fuzzing and the three-fragment delivery
-probability, plus byte-identity of repeated CLI artifacts. The
+against Monte Carlo, UC's closed-form mean age, the exact LQG
+expectations of a scripted single loop and of three scripted UC loops,
+the deadband delivery-blindness regression, wire roundtrip fuzzing and
+the three-fragment delivery probability, plus byte-identity of repeated
+CLI artifacts. The
 expensive part runs the published grid (UC/FC/UA/FA, N in {5, 10, 15,
 20}, twenty seeds, 1e5 slots) once per session through two module
 fixtures and asserts the strategy ordering, the transmit-if-space
@@ -31,6 +32,8 @@ from salsim.mdu import PDU_ENTRY_OVERHEAD, Mdu, SalPdu, deserialize_pdu, seriali
 from salsim.metrics import write_csv
 from salsim.plant import PlantParams, solve_riccati, staleness_cost
 from salsim.publisher import DeadbandFilter
+
+from conftest import scripted_uc_log
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -169,6 +172,68 @@ def test_scripted_single_loop_lqg_matches_its_exact_expectation(a):
     stderr = statistics.stdev(costs) / math.sqrt(seeds)
     assert stderr > 0.0
     assert abs(statistics.fmean(costs) - expected) <= 4.0 * stderr
+
+
+# three UC loops send two-fragment packets at tb_capacity 64; the script
+# loses some packets in one fragment only, and leaves gaps of 2-8 slots
+UC_LQG_SCRIPT = [t % 5 == 2 or t % 7 == 0 for t in range(40)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("per_packet", [False, True])
+def test_scripted_uc_lqg_matches_its_exact_expectation(per_packet):
+    # UC's queue, not the plants, picks the sample each packet carries, so
+    # the script fixes every delivery (slot, gen), the same for all loops.
+    # Each loop's x_t and x_hat_t are then linear in its own noise, the
+    # estimate replaying x_gen over the inputs since, and coefficient
+    # vectors give E[q x^2 + r u^2] exactly. The error of an estimate
+    # whose newest sample is d slots old has variance g(d)
+    config = SimConfig(
+        n_loops=3, strategy="UC", tb_capacity=64, horizon=40, warmup=0,
+        per_packet_loss=per_packet,
+    )
+    horizon = config.horizon
+    log = scripted_uc_log(
+        config.n_loops, horizon, 2, config.compound_maxlen, UC_LQG_SCRIPT, per_packet
+    )
+    assert run(config, erasure_pattern=UC_LQG_SCRIPT, record_traces=True).delivery_log == log
+    delivered = {slot: gen for slot, _loop, gen in log}
+    per_loop = []
+    for plant in config.make_plants():
+        gain = solve_riccati(plant.a, plant.b, plant.q, plant.r)[1]
+        table = [0.0]
+        x = np.zeros(horizon)
+        x[0] = 1.0  # x_0 = w_0; the estimate starts at zero with no input
+        x_hat = np.zeros(horizon)
+        xs, us = [], []  # the coefficient vectors of x_0.. and u_0..
+        newest = -1
+        expected = 0.0
+        for t in range(horizon):
+            xs.append(x)
+            if t in delivered:
+                newest = delivered[t]
+                x_hat = xs[newest]
+                for u in us[newest:]:
+                    x_hat = plant.a * x_hat + plant.b * u
+            error = plant.sigma_w2 * float(np.sum((x - x_hat) ** 2))
+            g = staleness_cost(table, plant.a * plant.a, plant.sigma_w2, t - newest)
+            assert error == pytest.approx(g, rel=1e-12, abs=0.0), (t, newest)
+            u = -gain * x_hat
+            us.append(u)
+            expected += plant.sigma_w2 * float(plant.q * np.sum(x**2) + plant.r * np.sum(u**2))
+            if t + 1 < horizon:
+                x = plant.a * x + plant.b * u
+                x[t + 1] = 1.0
+                x_hat = plant.a * x_hat + plant.b * u
+        per_loop.append(expected / horizon)
+    seeds = 20_000
+    costs = [
+        run(dataclasses.replace(config, seed=s), erasure_pattern=UC_LQG_SCRIPT).mean_lqg
+        for s in range(seeds)
+    ]
+    stderr = statistics.stdev(costs) / math.sqrt(seeds)
+    assert stderr > 0.0
+    assert abs(statistics.fmean(costs) - statistics.fmean(per_loop)) <= 4.0 * stderr
 
 
 def test_erased_admission_silences_the_loop_until_the_band_is_left():

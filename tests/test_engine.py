@@ -5,7 +5,6 @@ trigger-rate fractions, an exhaustive small-horizon cross-check of the
 freshness recurrence, and determinism / stream-alignment properties.
 """
 
-import collections
 import concurrent.futures
 import dataclasses
 import math
@@ -22,6 +21,8 @@ import salsim.engine as engine
 from salsim.engine import ConfigError, SimConfig, run, summarize, sweep
 from salsim.plant import PlantParams, solve_riccati
 from salsim.sal import Policy
+
+from conftest import scripted_uc_log
 
 
 def cfg(**kw):
@@ -164,6 +165,17 @@ def test_different_seeds_differ():
     assert a.mean_lqg != b.mean_lqg
 
 
+# (case, overrides) of FC against UC: six loops send three-fragment
+# packets, so packets cross the ends of 512-slot blocks
+ZERO_DEADBAND_COMPOUND_CASES = [
+    ("packets cross the block end", dict(horizon=1_100, warmup=600)),
+    ("per packet", dict(per_packet_loss=True)),
+    ("queue of one", dict(compound_maxlen=1)),
+    ("one fragment", dict(tb_capacity=2_000)),
+    ("20 loops", dict(n_loops=20)),
+]
+
+
 def test_zero_deadband_filtered_equals_unfiltered():
     # with a zero threshold the filter admits every (almost surely
     # changing) sample, so FA and UA coincide run for run
@@ -173,6 +185,18 @@ def test_zero_deadband_filtered_equals_unfiltered():
         ra, rb = run(ca), run(cb)
         assert ra.mean_aoi == rb.mean_aoi
         assert ra.mean_lqg == rb.mean_lqg
+    # and FC is UC in every field: FC replays each delivery slot by slot,
+    # UC loop by loop over a block
+    fields = [f.name for f in dataclasses.fields(engine.RunResult) if f.name != "strategy"]
+    for case, overrides in ZERO_DEADBAND_COMPOUND_CASES:
+        for seed in (3, 11):
+            base = dict(n_loops=6, deadband=0.0, loss_prob=0.2, horizon=300, warmup=20, seed=seed)
+            cf = cfg(**{**base, **overrides, "strategy": "FC"})
+            rf = run(cf, record_traces=True)
+            ru = run(dataclasses.replace(cf, strategy="UC"), record_traces=True)
+            assert rf.delivered, case
+            for name in fields:
+                assert getattr(rf, name) == getattr(ru, name), (case, seed, name)
 
 
 def test_noise_stream_is_strategy_independent():
@@ -276,31 +300,6 @@ def test_replay_reads_held_inputs_and_the_current_block(monkeypatch, tok):
     assert any(gen < slot - slot % 7 for slot, _loop, gen in log)
     assert any(slot - slot % 7 <= gen < slot for slot, _loop, gen in log)
     assert res == whole
-
-
-def scripted_uc_log(n, horizon, fragments, maxlen, erased, per_packet):
-    """(slot, loop, gen) deliveries of UC over a scripted link.
-
-    Every slot queues a packet of all n loops, the queue drops its
-    oldest packet past maxlen, and an idle wire takes the oldest queued
-    packet, which arrives when its first block does and, unless loss is
-    per packet, every later one too.
-    """
-    queue = collections.deque(maxlen=maxlen)
-    log = []
-    left = 0
-    for t in range(horizon):
-        queue.append(t)
-        if not left:
-            gen = queue.popleft()
-            left = fragments
-            ok = not erased[t]
-        elif erased[t] and not per_packet:
-            ok = False
-        left -= 1
-        if not left and ok:
-            log.extend((t, i, gen) for i in range(n))
-    return log
 
 
 # (case, overrides, fragments per packet): run() steps UC loop by loop
@@ -669,10 +668,15 @@ def test_sweep_deterministic_and_parallel_equivalent():
     ],
 )
 def test_plant_grid_matches_numpy_linspace_bit_for_bit(start, stop, num):
+    # the poles are memoized, and a zero of either sign makes one key:
+    # start from an empty cache so that the sign checked is this case's
+    engine._poles.cache_clear()
     want = np.linspace(start, stop, num).tolist()
-    got = engine._linspace(start, stop, num)
-    assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
-    assert got == want and all(type(x) is float for x in got)
+    config = SimConfig(n_loops=num, a_min=start, a_max=stop)
+    for _ in range(2):  # the second call reads the cache
+        got = [plant.a for plant in config.make_plants()]
+        assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+        assert got == want and all(type(x) is float for x in got)
 
 
 def test_config_validation_errors():

@@ -232,8 +232,11 @@ ROUTES = [
     (20, "UC", 9, "AOI_COST", False),
     (5, "FA", 9, "AOI_COST", True),
     (5, "FA", 8, "AOI_COST", False),
+    (5, "FC", 14, "AOI_COST", True),
+    (5, "FC", 13, "AOI_COST", False),
     (20, "FC", 7, "AOI_COST", True),
-    (20, "FC", 6, "AOI_COST", False),
+    (20, "FC", 6, "AOI_COST", True),
+    (20, "FC", 5, "AOI_COST", False),
     (20, "FA+TIS", 4, "AOI_COST", True),
     (20, "FA+TIS", 3, "AOI_COST", False),
     (100, "UA", 1, "AOI_COST", False),

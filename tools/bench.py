@@ -10,7 +10,8 @@ after `python -m compileall -q src` in it, and the trees take turns
 - for each (N, strategy) cell of the default grid (UC, FC, UA, FA and
   FA+TIS; the default config otherwise, with `--slots` slots and no
   warmup): microseconds per slot of run_cell over the default 20 seeds,
-  which takes the lockstep pass, and of run() on the first seed alone;
+  which takes the lockstep pass, and of run() on the first seed alone,
+  the median of RUN_CALLS calls, as one call is too short to resolve;
 - the fixed cost of one run: microseconds per run() call of the 8-slot
   single-loop instance that the benchmark's tiny_runs workload uses,
   the median of TINY_BLOCKS blocks of TINY_CALLS calls;
@@ -44,6 +45,7 @@ STRATEGIES = ("UC", "FC", "UA", "FA", "FA+TIS")
 TINY = dict(n_loops=1, horizon=8, warmup=0, strategy="UA", loss_prob=0.3, repetitions=1)
 TINY_CALLS = 200
 TINY_BLOCKS = 5
+RUN_CALLS = 5
 
 
 def measure(n_values, slots):
@@ -61,7 +63,7 @@ def measure(n_values, slots):
                 seeds = range(base.seed, base.seed + base.repetitions)
                 cell = [dataclasses.replace(base, seed=seed) for seed in seeds]
                 _, _, cell_s = speed.timed(run_cell, cell)
-                _, _, run_s = speed.timed(run, base)
+                run_s = statistics.median(speed.timed(run, base)[2] for _ in range(RUN_CALLS))
                 cells[f"{n}/{token}"] = {
                     "cell_us_per_slot": cell_s / slots * 1e6,
                     "run_us_per_slot": run_s / slots * 1e6,
