@@ -49,13 +49,7 @@ lockstep.seed_streams hands both engines, and at its end folds its
 states and inputs into the stage-cost sums (lockstep.PairwiseFold, bit
 for bit numpy's sum over the whole window). The rows of states and
 inputs that replay reads reach back 1/8 block, or further to the oldest
-sample that a buffer, the compound queue or the wire still holds. After
-2,000-slot warm-up runs of UA, FA and UC at 20 loops, 50k-slot runs of
-each raised peak resident memory by at most 0.02 MB in 76 of 79 trials
-(0.05-0.17 MB in the others), against 5.8-7.9 MB with blocks of 4,096
-slots, whose noise rows, histories and squares the allocator keeps
-resident, and 0.26-0.41 MB with states and inputs in two row arrays that
-regrow by turns each block (Linux, Python 3.11, numpy 2.4).
+sample that a buffer, the compound queue or the wire still holds.
 
 sweep() hands its cells (one loop count and strategy, all seeds) to
 run_cell(). A cell of AOI_COST seeds runs in the lockstep engine
@@ -87,6 +81,7 @@ from .publisher import (
     STRATEGY_ORDER,
     Strategy,
     StrategyConfig,
+    VALUE_PAYLOAD_SIZE,
     decode_value,  # not called: benchmarks/tracer.py patches the name on this module
     encode_value,
     parse_strategy,
@@ -133,7 +128,6 @@ class SimConfig:
     tis: bool = False
     policy: str = "AOI_COST"
     warmup: int = 1_000
-    payload_size: int = 20
     per_packet_loss: bool = False
     compound_maxlen: int = 8
     plants: Optional[list] = None
@@ -191,17 +185,15 @@ class SimConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.deadband < 0.0:
             raise ConfigError(f"deadband must be non-negative, got {self.deadband}")
-        if self.payload_size < 8:
-            raise ConfigError(f"payload_size must hold a float64, got {self.payload_size}")
         if self.compound_maxlen < 1:
             raise ConfigError(f"compound_maxlen must be positive, got {self.compound_maxlen}")
         strat = self.resolved_strategy()
         if not strat.compound:
-            atomic_min = PDU_HEADER_SIZE + PDU_ENTRY_OVERHEAD + self.payload_size
+            atomic_min = PDU_HEADER_SIZE + PDU_ENTRY_OVERHEAD + VALUE_PAYLOAD_SIZE
             if self.tb_capacity < atomic_min:
                 raise ConfigError(
                     f"tb_capacity {self.tb_capacity} cannot carry one "
-                    f"{self.payload_size} byte value (needs {atomic_min})"
+                    f"{VALUE_PAYLOAD_SIZE} byte value (needs {atomic_min})"
                 )
         else:
             if self.n_loops > 255:
@@ -209,7 +201,7 @@ class SimConfig:
                     f"compound packets count entries in one byte, "
                     f"n_loops={self.n_loops} cannot fit"
                 )
-            packed = 1 + self.n_loops * (PDU_ENTRY_OVERHEAD + self.payload_size)
+            packed = 1 + self.n_loops * (PDU_ENTRY_OVERHEAD + VALUE_PAYLOAD_SIZE)
             if (
                 self.tb_capacity > FRAGMENT_HEADER_SIZE
                 and fragment_layout(packed, self.tb_capacity)[0] > 255
@@ -306,7 +298,6 @@ def run(config, erasure_pattern=None, record_traces=False):
     horizon = config.horizon
     warmup = config.warmup
     capacity = config.tb_capacity
-    value_size = config.payload_size
     per_packet = config.per_packet_loss
     if erasure_pattern is not None and len(erasure_pattern) < horizon:
         raise ConfigError(
@@ -385,13 +376,13 @@ def run(config, erasure_pattern=None, record_traces=False):
     area = [(horizon * (horizon + 1) - warmup * (warmup + 1)) // 2] * n
     # deadband reference per loop; +inf admits the first sample
     last_ref = [float("inf")] * n
-    trig = [not filtering] * n  # admission flags, read by the object ingest
-    # the rank pass counts the next slot's admitted samples from pend0;
-    # UC, which has no plant pass in the slot loop, admits every loop
+    # the ids admitted for the coming slot, ascending, which the object
+    # ingest and the compound queue take; the rank pass counts them from
+    # pend0. Unfiltered runs, UC among them, admit every loop
     pend = pend0 = 0 if filtering else n
     fresh = range(n)
 
-    entry_size = PDU_ENTRY_OVERHEAD + value_size
+    entry_size = PDU_ENTRY_OVERHEAD + VALUE_PAYLOAD_SIZE
     room = capacity - PDU_HEADER_SIZE
     # shortlists hold k entries, padded with cost -1.0 and id -1: every
     # cost is positive, so a padding entry is the first to go
@@ -472,8 +463,9 @@ def run(config, erasure_pattern=None, record_traces=False):
                             pad_total += last_pad
                             if cur_ok:
                                 got = cur_ids
-                                for i in got:
-                                    got_gen[i] = cur_gen
+                                if not uc or delivery_log is not None:  # UC replays from uc_got
+                                    for i in got:
+                                        got_gen[i] = cur_gen
                 elif rank:
                     # send what the last pass ranked (FA+TIS: the admitted
                     # tier first), less the padding of a short tier
@@ -496,19 +488,12 @@ def run(config, erasure_pattern=None, record_traces=False):
                             for i in got:
                                 got_gen[i] = t
                 else:
-                    if filtering:
-                        trig = [False] * n
-                        for i in fresh:
-                            trig[i] = True
-                    ingest_flagged(t, x, value_size, trig, tis_on)
-                    picked = select_uniform(capacity, t, value_size)
+                    ingest_flagged(t, x, VALUE_PAYLOAD_SIZE, fresh, tis_on)
+                    picked = select_uniform(capacity, t, VALUE_PAYLOAD_SIZE)
                     if picked:
                         blocks += 1
                         pdu = compose_pdu(
-                            [
-                                Mdu(e[0], e[1], encode_value(e[2], value_size))
-                                for e in picked
-                            ],
+                            [Mdu(e[0], e[1], encode_value(e[2])) for e in picked],
                             capacity,
                         )
                         pad_total += pdu.padding_bytes
@@ -570,7 +555,8 @@ def run(config, erasure_pattern=None, record_traces=False):
                     x[i] = xi
                     x_hat[i] = ai * xh + bi * ui
                     if filtering:
-                        if abs(xi - last_ref[i]) > threshold:
+                        d = xi - last_ref[i]
+                        if d > threshold or d < low:  # abs(d) > threshold, nan too
                             last_ref[i] = xi
                             pend += 1
                             if buffered:
@@ -602,7 +588,8 @@ def run(config, erasure_pattern=None, record_traces=False):
                         ids[pos] = i
                         floor = costs[last]
             else:
-                fresh = []  # the ids admitted for slot t+1, ascending
+                if filtering:
+                    fresh = []  # the ids admitted for slot t+1
                 for i in range(n):
                     ai, bi, ngi = par[i]
                     xh = x_hat[i]
@@ -613,11 +600,10 @@ def run(config, erasure_pattern=None, record_traces=False):
                     x_hat[i] = ai * xh + bi * ui
                     if filtering:
                         d = xi - last_ref[i]
-                        if d > threshold or d < low:  # abs(d) > threshold, nan too
+                        if d > threshold or d < low:
                             last_ref[i] = xi
                             fresh.append(i)
-                if filtering:
-                    pend = len(fresh)
+                pend = len(fresh)
             rows.fromlist(u)
             rows.fromlist(x)
         if uc:
@@ -900,17 +886,11 @@ def run_cell(configs):
 
 def summarize(results):
     """Collapse sweep rows to per (n_loops, strategy) mean/min/max bands."""
-    order = []
-    groups = {}
+    groups = {}  # in the order each key first appears
     for row in results:
-        key = (row.n_loops, row.strategy)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault((row.n_loops, row.strategy), []).append(row)
     out = []
-    for key in order:
-        rows = groups[key]
+    for key, rows in groups.items():
         aoi = [r.mean_aoi for r in rows]
         lqg = [r.mean_lqg for r in rows]
         # statistics.fmean's arithmetic; importing statistics loads fractions and decimal

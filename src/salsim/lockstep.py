@@ -47,6 +47,7 @@ import numpy as np
 from .channel import fragment_layout
 from .mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE
 from .plant import staleness_cost
+from .publisher import VALUE_PAYLOAD_SIZE
 
 BLOCK = 512  # slots per block of random draws and stage-cost folding, in both engines
 
@@ -230,7 +231,7 @@ class _Link:
         self.runs = runs
         self.n = first.n_loops
         self.capacity = first.tb_capacity
-        self.entry_size = PDU_ENTRY_OVERHEAD + first.payload_size
+        self.entry_size = PDU_ENTRY_OVERHEAD + VALUE_PAYLOAD_SIZE
         self.run_ids = np.arange(runs)
         self.counts = np.zeros((4, runs), dtype=np.int64)
 
@@ -349,7 +350,6 @@ class _Compound(_Link):
         self.shadow = np.zeros((ring, runs, n))
         self.q_gen = np.zeros((ring, runs), dtype=np.int64)
         self.q_mask = np.zeros((ring, runs, n), dtype=bool)
-        self.q_count = np.zeros((ring, runs), dtype=np.int64)
         # packets ingested, oldest queued, on the wire; its fragments left
         self.ingested, self.head, self.cur, self.frag_left = np.zeros((4, runs), dtype=np.int64)
         self.intact = np.zeros(runs, dtype=bool)
@@ -369,8 +369,7 @@ class _Compound(_Link):
         self.shadow[pos, run_ids] = x
         self.q_gen[pos, run_ids] = t
         self.q_mask[pos, run_ids] = trig
-        pend = self.q_count[pos, run_ids] = trig.sum(axis=1)
-        ingested += pend > 0
+        ingested += trig.any(axis=1)
         # a full queue drops its oldest packet
         over = self.over_rec[j]
         np.greater(ingested - head, self.maxlen, out=over)
@@ -379,8 +378,8 @@ class _Compound(_Link):
         np.putmask(cur, starting, head)
         head += starting
         slot = cur % self.ring
-        count = self.count_rec[j]
-        count[:] = self.q_count[slot, run_ids]
+        count = self.count_rec[j]  # the entries of the packet on the wire
+        self.q_mask[slot, run_ids].sum(axis=1, out=count)
         np.putmask(frag_left, starting, self.frag_count[count])
         # a packet's first draw sets its fate and, unless loss is per
         # packet, each later one can clear it; between packets it is stale

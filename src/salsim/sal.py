@@ -55,8 +55,7 @@ class SessionHandler:
     def __init__(self):
         self._ids = {}
         self._labels = []
-        self._subs = []
-        self._sub_tuples = []
+        self._subs = []  # per id, its subscribers in subscribe order
 
     @property
     def n_ids(self):
@@ -70,18 +69,17 @@ class SessionHandler:
         mdu_id = len(self._labels)
         self._ids[label] = mdu_id
         self._labels.append(label)
-        self._subs.append({})
-        self._sub_tuples.append(())
+        self._subs.append(())
         return mdu_id
 
     def subscribe(self, mdu_id, subscriber):
         self._check_id(mdu_id)
-        self._subs[mdu_id][subscriber] = None
-        self._sub_tuples[mdu_id] = tuple(self._subs[mdu_id])
+        if subscriber not in self._subs[mdu_id]:
+            self._subs[mdu_id] += (subscriber,)
 
     def subscribers(self, mdu_id):
         self._check_id(mdu_id)
-        return self._sub_tuples[mdu_id]
+        return self._subs[mdu_id]
 
     def id_of(self, label):
         try:
@@ -166,15 +164,15 @@ class DataHandler:
         every id in order; a single call per slot keeps wide unfiltered
         simulations off the per-call overhead.
         """
-        self.ingest_flagged(gen_time, values, payload_len, [True] * len(values), False)
+        self.ingest_flagged(gen_time, values, payload_len, range(len(values)), False)
 
-    def ingest_flagged(self, gen_time, values, payload_len, admit_flags, keep_suppressed):
+    def ingest_flagged(self, gen_time, values, payload_len, admitted_ids, keep_suppressed):
         """Batch ingest for filtered publishers.
 
-        Ids whose flag is set arrive admitted; the rest arrive as
-        suppressed hand-downs when keep_suppressed is true and are
-        skipped entirely otherwise. Equivalent to the per-id ingest
-        calls a filtered publisher would make.
+        The ids in admitted_ids, ascending, arrive admitted. The other
+        ids arrive as suppressed hand-downs when keep_suppressed is true;
+        otherwise only admitted_ids are visited. Equivalent to the per-id
+        ingest calls, in id order, that a filtered publisher would make.
         """
         gen = self._gen
         payload = self._payload
@@ -183,17 +181,18 @@ class DataHandler:
         seq = self._seq
         counter = self._counter
         replaced = 0
-        for i, value in enumerate(values):
-            flag = admit_flags[i]
-            if not flag and not keep_suppressed:
-                continue
+        ids = admitted_ids
+        if keep_suppressed:  # every id, the admitted ones flagged
+            ids, admitted_ids = range(len(values)), frozenset(admitted_ids)
+        for i in ids:
+            flag = not keep_suppressed or i in admitted_ids
             counter += 1
             if gen[i] >= 0:
                 replaced += 1
                 if gen_time < gen[i]:
                     continue
             gen[i] = gen_time
-            payload[i] = value
+            payload[i] = values[i]
             plen[i] = payload_len
             admitted[i] = flag
             seq[i] = counter

@@ -3,16 +3,16 @@
 Cheap exact oracles come first: the golden-ratio Riccati fixed point,
 the stationary LQG cost identity on a lossless single loop, a scripted
 erasure sawtooth, an exhaustively enumerated eight-slot instance checked
-against Monte Carlo, UC's closed-form mean age, the exact LQG
-expectations of a scripted single loop and of three scripted UC loops,
-the deadband delivery-blindness regression, wire roundtrip fuzzing and
-the three-fragment delivery probability, plus byte-identity of repeated
-CLI artifacts. The
-expensive part runs the published grid (UC/FC/UA/FA, N in {5, 10, 15,
-20}, twenty seeds, 1e5 slots) once per session through two module
-fixtures and asserts the strategy ordering, the transmit-if-space
-benefit, the wall-clock budget and the SHA-256 of both grids' results
-CSVs.
+against Monte Carlo, UC's closed-form mean age, UC's mean-square
+stability bound, the exact LQG expectations of a scripted single loop,
+of three scripted UA loops that share one-entry blocks and of three
+scripted UC loops, the deadband delivery-blindness regression, wire
+roundtrip fuzzing and the three-fragment delivery probability, plus
+byte-identity of repeated CLI artifacts. The expensive part runs the
+published grid (UC/FC/UA/FA, N in {5, 10, 15, 20}, twenty seeds, 1e5
+slots) once per session through two module fixtures and asserts the
+strategy ordering, the transmit-if-space benefit, the wall-clock budget
+and the SHA-256 of both grids' results CSVs.
 """
 
 import dataclasses
@@ -31,7 +31,7 @@ from salsim.engine import SimConfig, run, run_cell, summarize, sweep
 from salsim.mdu import PDU_ENTRY_OVERHEAD, Mdu, SalPdu, deserialize_pdu, serialize_pdu
 from salsim.metrics import write_csv
 from salsim.plant import PlantParams, solve_riccati, staleness_cost
-from salsim.publisher import DeadbandFilter
+from salsim.publisher import VALUE_PAYLOAD_SIZE, DeadbandFilter
 
 from conftest import scripted_uc_log
 
@@ -113,7 +113,7 @@ def test_uc_mean_age_matches_its_closed_form(n, maxlen, loss, capacity, per_pack
         n_loops=n, strategy="UC", compound_maxlen=maxlen, loss_prob=loss,
         tb_capacity=capacity, per_packet_loss=per_packet, horizon=20_000,
     )
-    packed = 1 + n * (PDU_ENTRY_OVERHEAD + base.payload_size)
+    packed = 1 + n * (PDU_ENTRY_OVERHEAD + VALUE_PAYLOAD_SIZE)
     fragments = -(-packed // (capacity - FRAGMENT_HEADER_SIZE))
     assert fragments >= 2
     lag = maxlen + fragments - 2
@@ -126,6 +126,92 @@ def test_uc_mean_age_matches_its_closed_form(n, maxlen, loss, capacity, per_pack
     assert abs(statistics.fmean(ages) - expected) <= 4.0 * stderr
 
 
+# (a, whether a lies inside the bound) for one UC loop at tb_capacity 20
+UC_STABILITY_CASES = [(1.20, True), (1.29, False)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a,stable", UC_STABILITY_CASES)
+def test_uc_loop_cost_settles_only_inside_its_mean_square_stability_bound(a, stable):
+    # a UC packet takes F slots and arrives with probability P, and the
+    # estimation error grows by a^2 per slot until one does. A gap of m
+    # lost packets costs about a^(2Fm) and has probability (1 - P)^m, so
+    # the cost's tail index is alpha = ln(1 / (1 - P)) / (2F ln a), and the
+    # expected cost is finite iff alpha > 1, that is iff a^(2F) (1 - P) < 1.
+    # Below the bound each run's time-averaged cost then converges as the
+    # horizon grows; above it, it keeps growing, by 2^(1/alpha - 1) per
+    # doubling in the limit. The cost's variance is infinite on both sides
+    # (alpha < 2), so single seeds decide the seed mean: over 1,000 seeds,
+    # a doubling moved it by up to x1.44 at a = 1.20, and in two of ten
+    # seed ranges by at most x1.38 at a = 1.29. The median over seeds is
+    # what settles or grows: in six disjoint ranges of 1,000 seeds, two
+    # doublings raised it by 7-10% at a = 1.20 and by 33-40% at a = 1.29
+    base = SimConfig(n_loops=1, strategy="UC", tb_capacity=20, warmup=0, plants=[PlantParams(a)])
+    packed = 1 + PDU_ENTRY_OVERHEAD + VALUE_PAYLOAD_SIZE
+    fragments = -(-packed // (base.tb_capacity - FRAGMENT_HEADER_SIZE))
+    p_ok = (1.0 - base.loss_prob) ** fragments
+    bound = (1.0 - p_ok) ** (-1.0 / (2 * fragments))
+    assert fragments == 3 and 1.24 < bound < 1.25
+    assert (a < bound) == stable
+    medians = []
+    for horizon in (4_000, 8_000, 16_000):
+        cell = [dataclasses.replace(base, horizon=horizon, seed=s) for s in range(1_000)]
+        medians.append(statistics.median(r.mean_lqg for r in run_cell(cell)))
+    growth = medians[-1] / medians[0]
+    if stable:
+        assert growth < 1.2, medians
+    else:
+        assert growth > 1.2, medians
+
+
+def exact_loop_lqg(plant, delivered, horizon):
+    """E[q x_t^2 + r u_t^2] over slots 0..horizon-1 of one loop whose
+    deliveries {slot: gen} are fixed, from coefficient vectors.
+
+    x_t and x_hat_t are linear in the loop's noise w_0..w_t: a delivery
+    replays x_gen over the inputs since. Also asserts that the error of
+    an estimate whose newest sample is d slots old has variance g(d),
+    the staleness cost that the ranking reads.
+    """
+    gain = solve_riccati(plant.a, plant.b, plant.q, plant.r)[1]
+    table = [0.0]
+    x = np.zeros(horizon)
+    x[0] = 1.0  # x_0 = w_0; the estimate starts at zero with no input
+    x_hat = np.zeros(horizon)
+    xs, us = [], []  # the coefficient vectors of x_0.. and u_0..
+    newest = -1
+    expected = 0.0
+    for t in range(horizon):
+        xs.append(x)
+        if t in delivered:
+            newest = delivered[t]
+            x_hat = xs[newest]
+            for u in us[newest:]:
+                x_hat = plant.a * x_hat + plant.b * u
+        error = plant.sigma_w2 * float(np.sum((x - x_hat) ** 2))
+        g = staleness_cost(table, plant.a * plant.a, plant.sigma_w2, t - newest)
+        assert error == pytest.approx(g, rel=1e-12, abs=0.0), (t, newest)
+        u = -gain * x_hat
+        us.append(u)
+        expected += plant.sigma_w2 * float(plant.q * np.sum(x**2) + plant.r * np.sum(u**2))
+        if t + 1 < horizon:
+            x = plant.a * x + plant.b * u
+            x[t + 1] = 1.0
+            x_hat = plant.a * x_hat + plant.b * u
+    return expected / horizon
+
+
+def assert_scripted_lqg(config, script, expected, seeds=20_000):
+    """The seed mean of mean_lqg over a scripted link lies within 4 SE of expected."""
+    costs = [
+        run(dataclasses.replace(config, seed=s), erasure_pattern=script).mean_lqg
+        for s in range(seeds)
+    ]
+    stderr = statistics.stdev(costs) / math.sqrt(seeds)
+    assert stderr > 0.0
+    assert abs(statistics.fmean(costs) - expected) <= 4.0 * stderr
+
+
 # erasure runs of 1, 2, 3 and 4 slots, each after one delivery
 LQG_SCRIPT = [erased for gap in (1, 2, 3, 4) * 3 for erased in [False] + [True] * gap][:40]
 
@@ -134,44 +220,33 @@ LQG_SCRIPT = [erased for gap in (1, 2, 3, 4) * 3 for erased in [False] + [True] 
 @pytest.mark.parametrize("a", [1.0, 1.2])
 def test_scripted_single_loop_lqg_matches_its_exact_expectation(a):
     # one UA loop sends its fresh sample every slot, so the script alone
-    # decides what the controller knows: x_t and x_hat_t are linear in
-    # the noise w_0..w_t, and coefficient vectors give E[q x^2 + r u^2]
-    # exactly. The estimation error after d erasures has variance g(d),
-    # the staleness cost that the ranking reads
-    plant = PlantParams(a=a)
-    config = SimConfig(n_loops=1, strategy="UA", horizon=40, warmup=0, plants=[plant])
-    horizon = config.horizon
-    gain = solve_riccati(plant.a, plant.b, plant.q, plant.r)[1]
-    table = [0.0]
-    x = np.zeros(horizon)
-    x[0] = 1.0  # x_0 = w_0; the estimate starts at zero with no input
-    x_hat = np.zeros(horizon)
-    erasures = 0
-    expected = 0.0
-    for t in range(horizon):
-        if not LQG_SCRIPT[t]:
-            x_hat = x.copy()
-            erasures = 0
-        else:
-            erasures += 1
-        error = plant.sigma_w2 * float(np.sum((x - x_hat) ** 2))
-        g = staleness_cost(table, plant.a * plant.a, plant.sigma_w2, erasures)
-        assert error == pytest.approx(g, rel=1e-12, abs=0.0), (t, erasures)
-        u = -gain * x_hat
-        expected += plant.sigma_w2 * float(plant.q * np.sum(x**2) + plant.r * np.sum(u**2))
-        if t + 1 < horizon:
-            x = plant.a * x + plant.b * u
-            x[t + 1] = 1.0
-            x_hat = plant.a * x_hat + plant.b * u
-    expected /= horizon
-    seeds = 20_000
-    costs = [
-        run(dataclasses.replace(config, seed=s), erasure_pattern=LQG_SCRIPT).mean_lqg
-        for s in range(seeds)
+    # decides what the controller knows, and each delivery has gen == t
+    config = SimConfig(n_loops=1, strategy="UA", horizon=40, warmup=0, plants=[PlantParams(a=a)])
+    delivered = {t: t for t, erased in enumerate(LQG_SCRIPT) if not erased}
+    expected = exact_loop_lqg(config.plants[0], delivered, config.horizon)
+    assert_scripted_lqg(config, LQG_SCRIPT, expected)
+
+
+@pytest.mark.slow
+def test_scripted_ua_lqg_with_one_entry_per_block_matches_its_exact_expectation():
+    # three UA loops share blocks that carry one entry (k = 1 < N). UA
+    # admits every sample, so the ranking reads only the ages, which the
+    # script alone decides: every seed delivers the same (slot, loop),
+    # each a fresh sample, and each loop's cost is exact given its slots
+    config = SimConfig(n_loops=3, strategy="UA", tb_capacity=30, horizon=40, warmup=0)
+    log = run(config, erasure_pattern=LQG_SCRIPT, record_traces=True).delivery_log
+    other = dataclasses.replace(config, seed=config.seed + 1)
+    assert run(other, erasure_pattern=LQG_SCRIPT, record_traces=True).delivery_log == log
+    assert [slot for slot, _loop, _gen in log] == [
+        t for t, erased in enumerate(LQG_SCRIPT) if not erased
     ]
-    stderr = statistics.stdev(costs) / math.sqrt(seeds)
-    assert stderr > 0.0
-    assert abs(statistics.fmean(costs) - expected) <= 4.0 * stderr
+    assert all(gen == slot for slot, _loop, gen in log)
+    assert {loop for _slot, loop, _gen in log} == {0, 1, 2}
+    per_loop = [
+        exact_loop_lqg(plant, {slot: gen for slot, at, gen in log if at == i}, config.horizon)
+        for i, plant in enumerate(config.make_plants())
+    ]
+    assert_scripted_lqg(config, LQG_SCRIPT, statistics.fmean(per_loop))
 
 
 # three UC loops send two-fragment packets at tb_capacity 64; the script
@@ -184,10 +259,7 @@ UC_LQG_SCRIPT = [t % 5 == 2 or t % 7 == 0 for t in range(40)]
 def test_scripted_uc_lqg_matches_its_exact_expectation(per_packet):
     # UC's queue, not the plants, picks the sample each packet carries, so
     # the script fixes every delivery (slot, gen), the same for all loops.
-    # Each loop's x_t and x_hat_t are then linear in its own noise, the
-    # estimate replaying x_gen over the inputs since, and coefficient
-    # vectors give E[q x^2 + r u^2] exactly. The error of an estimate
-    # whose newest sample is d slots old has variance g(d)
+    # Each loop's estimate replays x_gen over the inputs since
     config = SimConfig(
         n_loops=3, strategy="UC", tb_capacity=64, horizon=40, warmup=0,
         per_packet_loss=per_packet,
@@ -198,42 +270,8 @@ def test_scripted_uc_lqg_matches_its_exact_expectation(per_packet):
     )
     assert run(config, erasure_pattern=UC_LQG_SCRIPT, record_traces=True).delivery_log == log
     delivered = {slot: gen for slot, _loop, gen in log}
-    per_loop = []
-    for plant in config.make_plants():
-        gain = solve_riccati(plant.a, plant.b, plant.q, plant.r)[1]
-        table = [0.0]
-        x = np.zeros(horizon)
-        x[0] = 1.0  # x_0 = w_0; the estimate starts at zero with no input
-        x_hat = np.zeros(horizon)
-        xs, us = [], []  # the coefficient vectors of x_0.. and u_0..
-        newest = -1
-        expected = 0.0
-        for t in range(horizon):
-            xs.append(x)
-            if t in delivered:
-                newest = delivered[t]
-                x_hat = xs[newest]
-                for u in us[newest:]:
-                    x_hat = plant.a * x_hat + plant.b * u
-            error = plant.sigma_w2 * float(np.sum((x - x_hat) ** 2))
-            g = staleness_cost(table, plant.a * plant.a, plant.sigma_w2, t - newest)
-            assert error == pytest.approx(g, rel=1e-12, abs=0.0), (t, newest)
-            u = -gain * x_hat
-            us.append(u)
-            expected += plant.sigma_w2 * float(plant.q * np.sum(x**2) + plant.r * np.sum(u**2))
-            if t + 1 < horizon:
-                x = plant.a * x + plant.b * u
-                x[t + 1] = 1.0
-                x_hat = plant.a * x_hat + plant.b * u
-        per_loop.append(expected / horizon)
-    seeds = 20_000
-    costs = [
-        run(dataclasses.replace(config, seed=s), erasure_pattern=UC_LQG_SCRIPT).mean_lqg
-        for s in range(seeds)
-    ]
-    stderr = statistics.stdev(costs) / math.sqrt(seeds)
-    assert stderr > 0.0
-    assert abs(statistics.fmean(costs) - statistics.fmean(per_loop)) <= 4.0 * stderr
+    per_loop = [exact_loop_lqg(plant, delivered, horizon) for plant in config.make_plants()]
+    assert_scripted_lqg(config, UC_LQG_SCRIPT, statistics.fmean(per_loop))
 
 
 def test_erased_admission_silences_the_loop_until_the_band_is_left():

@@ -438,6 +438,31 @@ def test_delivery_conservation_and_monotone_gens(tok, policy):
         assert all(g2 > g1 for g1, g2 in zip(gens, gens[1:]))
 
 
+TRACE_CASES = [(tok, "AOI_COST") for tok in ("UC", "FC", "UA", "FA", "FA+TIS")] + [
+    (tok, policy) for policy in ("FIFO", "ROUND_ROBIN") for tok in ("UA", "FA")
+]
+
+
+@pytest.mark.parametrize(
+    "tok,policy",
+    TRACE_CASES,
+    ids=[tok if policy == "AOI_COST" else f"{tok}/{policy}" for tok, policy in TRACE_CASES],
+)
+def test_recording_traces_changes_no_other_field(tok, policy):
+    # the age traces and the delivery log are read off the run: asking
+    # for them moves no other result. Packets and held samples cross the
+    # 512-slot block end, and the counters restart at the warmup slot
+    c = cfg(
+        n_loops=6, strategy=tok, policy=policy, deadband=0.4, loss_prob=0.2,
+        horizon=1_100, warmup=600, seed=13,
+    )
+    plain = run(c)
+    traced = run(c, record_traces=True)
+    assert plain.aoi_trace is None and plain.delivery_log is None
+    assert traced.delivered and len(traced.aoi_trace) == c.n_loops
+    assert dataclasses.replace(traced, aoi_trace=None, delivery_log=None) == plain
+
+
 @pytest.mark.parametrize("tok", ["UC", "FC", "UA", "FA", "FA+TIS"])
 def test_age_recurrence_consistent_with_deliveries(tok):
     res = run(
@@ -739,7 +764,6 @@ def test_config_rejects_non_finite_numbers(field, value):
         ("warmup", False),
         ("repetitions", 2.0),
         ("tb_capacity", 64.0),
-        ("payload_size", "20"),
         ("compound_maxlen", True),
         ("horizon", None),
     ],
@@ -813,7 +837,7 @@ def test_a_config_changed_in_place_runs_like_a_fresh_one():
             run(config)
         setattr(config, field, getattr(cfg(**fields), field))
         assert run(config) == run(cfg(**fields))
-    for field, value in [("tb_capacity", 30), ("payload_size", 12), ("strategy", "UC")]:
+    for field, value in [("tb_capacity", 30), ("strategy", "UC")]:
         setattr(config, field, value)
         fields[field] = value
         assert run(config) == run(cfg(**fields)), field

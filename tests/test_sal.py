@@ -73,6 +73,10 @@ def test_subscribe_is_idempotent():
     sh.subscribe(0, "ctrl")
     sh.subscribe(0, "ctrl")
     assert sh.subscribers(0) == ("ctrl",)
+    # distinct subscribers are kept in the order they first subscribed
+    sh.subscribe(0, "log")
+    sh.subscribe(0, "ctrl")
+    assert sh.subscribers(0) == ("ctrl", "log")
 
 
 def test_subscribe_unknown_id_rejected():
@@ -305,7 +309,8 @@ def test_flagged_ingest_matches_filtered_calls():
                     one.ingest(i, slot, v, 20)
                 elif keep:
                     one.ingest(i, slot, v, 20, admitted=False)
-            two.ingest_flagged(slot, values, 20, flags, keep)
+            admitted = [i for i in range(n) if flags[i]]
+            two.ingest_flagged(slot, values, 20, admitted, keep)
             if rng.random() < 0.4:
                 assert one.select(64, slot) == two.select(64, slot)
         assert all(one.occupant(i) == two.occupant(i) for i in range(n))

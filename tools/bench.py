@@ -10,8 +10,9 @@ after `python -m compileall -q src` in it, and the trees take turns
 - for each (N, strategy) cell of the default grid (UC, FC, UA, FA and
   FA+TIS; the default config otherwise, with `--slots` slots and no
   warmup): microseconds per slot of run_cell over the default 20 seeds,
-  which takes the lockstep pass, and of run() on the first seed alone,
-  the median of RUN_CALLS calls, as one call is too short to resolve;
+  which takes the lockstep pass, the median of CELL_CALLS calls, and of
+  run() on the first seed alone, the median of RUN_CALLS calls, as one
+  call of either is too short to resolve;
 - the fixed cost of one run: microseconds per run() call of the 8-slot
   single-loop instance that the benchmark's tiny_runs workload uses,
   the median of TINY_BLOCKS blocks of TINY_CALLS calls;
@@ -46,6 +47,7 @@ TINY = dict(n_loops=1, horizon=8, warmup=0, strategy="UA", loss_prob=0.3, repeti
 TINY_CALLS = 200
 TINY_BLOCKS = 5
 RUN_CALLS = 5
+CELL_CALLS = 3
 
 
 def measure(n_values, slots):
@@ -62,7 +64,7 @@ def measure(n_values, slots):
                 base = SimConfig(n_loops=n, strategy=token, horizon=slots, warmup=0)
                 seeds = range(base.seed, base.seed + base.repetitions)
                 cell = [dataclasses.replace(base, seed=seed) for seed in seeds]
-                _, _, cell_s = speed.timed(run_cell, cell)
+                cell_s = statistics.median(speed.timed(run_cell, cell)[2] for _ in range(CELL_CALLS))
                 run_s = statistics.median(speed.timed(run, base)[2] for _ in range(RUN_CALLS))
                 cells[f"{n}/{token}"] = {
                     "cell_us_per_slot": cell_s / slots * 1e6,
