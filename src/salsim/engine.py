@@ -74,7 +74,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import FRAGMENT_HEADER_SIZE, fragment_layout
-from .lockstep import BLOCK, PairwiseFold, RunTotals, run_lockstep, seed_streams
+from .lockstep import BLOCK, PairwiseFold, RunTotals, atomic_counts, run_lockstep, seed_streams
 from .mdu import PDU_ENTRY_OVERHEAD, PDU_HEADER_SIZE, Mdu
 from .plant import PlantParams, RiccatiError, solve_riccati, staleness_cost
 from .publisher import (
@@ -390,12 +390,12 @@ def run(config, erasure_pattern=None, record_traces=False):
     last = k - 1
     pad_cost = [-1.0] * k
     pad_id = [-1] * k
-    g_tab = [[0.0] for _ in range(n)]
+    g_tab = [[0.0, pl.sigma_w2] for pl in plants]  # g(0), and g(1) = sigma_w2 for slot -1
     low_id = []
     buf_gen = [-1] * n
-    # buffered samples that the next slot's ingest overwrites: the n - k
-    # that UA and FA+TIS leave unsent, or those that FA's pass counts
-    spare = 0 if buffered else n - k
+    # FA's samples that the next slot's ingest overwrites. UA and FA+TIS send
+    # k entries per slot: h - w blocks, (h - w)(room - k entry_size) padding
+    # bytes and (n - k)(h - max(w, 1)) discards, from lockstep.atomic_counts
     overwrites = 0
     replaced_local = 0
 
@@ -414,10 +414,7 @@ def run(config, erasure_pattern=None, record_traces=False):
         uc_anchor, uc_area = -1, area[0]
         gathered = np.empty((block + 1, width))
 
-    blocks = 0
-    pad_total = 0
-    triggered_total = 0
-    delivered_total = 0
+    blocks = pad_total = triggered_total = delivered_total = 0
     delivery_log = [] if record_traces else None
 
     for s in range(0, horizon, block):
@@ -469,24 +466,24 @@ def run(config, erasure_pattern=None, record_traces=False):
                 elif rank:
                     # send what the last pass ranked (FA+TIS: the admitted
                     # tier first), less the padding of a short tier
-                    replaced_local += overwrites
-                    overwrites = spare
                     sent = top_id
                     if sent[-1] < 0:
                         sent = [i for i in top_id + low_id if i >= 0][:k]
-                    if sent:
-                        blocks += 1
-                        pad_total += room - len(sent) * entry_size
-                        if buffered:
+                    if buffered:  # UA and FA+TIS keep no per-slot tally
+                        replaced_local += overwrites
+                        overwrites = 0
+                        if sent:
+                            blocks += 1
+                            pad_total += room - len(sent) * entry_size
                             for i in sent:
                                 got_gen[i] = buf_gen[i]
                                 buf_gen[i] = -1
                             if arrives[j]:
                                 got = sent
-                        elif arrives[j]:
-                            got = sent
-                            for i in got:
-                                got_gen[i] = t
+                    elif arrives[j]:
+                        got = sent
+                        for i in got:
+                            got_gen[i] = t
                 else:
                     ingest_flagged(t, x, VALUE_PAYLOAD_SIZE, fresh, tis_on)
                     picked = select_uniform(capacity, t, VALUE_PAYLOAD_SIZE)
@@ -546,14 +543,14 @@ def run(config, erasure_pattern=None, record_traces=False):
                     low_cost = pad_cost.copy()
                     low_id = pad_id.copy()
                 costs, ids, floor = top_cost, top_id, -1.0
-                for i in range(n):
-                    ai, bi, ngi = par[i]
+                for i, (ai, bi, ngi) in enumerate(par):
                     xh = x_hat[i]
                     ui = ngi * xh
                     u[i] = ui
-                    xi = ai * x[i] + bi * ui + row[i]
+                    bu = bi * ui
+                    xi = ai * x[i] + bu + row[i]
                     x[i] = xi
-                    x_hat[i] = ai * xh + bi * ui
+                    x_hat[i] = ai * xh + bu
                     if filtering:
                         d = xi - last_ref[i]
                         if d > threshold or d < low:  # abs(d) > threshold, nan too
@@ -572,12 +569,12 @@ def run(config, erasure_pattern=None, record_traces=False):
                             continue  # k admitted samples fill the block
                         else:  # FA+TIS ranks a suppressed sample behind every admitted one
                             costs, ids, floor = low_cost, low_id, low_cost[last]
+                    # delta >= 1, as anchor[i] <= t, so no index wraps round
                     delta = t1 - anchor[i]
-                    tab = g_tab[i]
-                    if delta < len(tab):
-                        cost = tab[delta]
-                    else:
-                        cost = staleness_cost(tab, ai * ai, plants[i].sigma_w2, delta)
+                    try:
+                        cost = g_tab[i][delta]
+                    except IndexError:  # grow the table to delta
+                        cost = staleness_cost(g_tab[i], ai * ai, plants[i].sigma_w2, delta)
                     if cost > floor:
                         pos = last
                         while pos and costs[pos - 1] < cost:
@@ -595,9 +592,10 @@ def run(config, erasure_pattern=None, record_traces=False):
                     xh = x_hat[i]
                     ui = ngi * xh
                     u[i] = ui
-                    xi = ai * x[i] + bi * ui + row[i]
+                    bu = bi * ui
+                    xi = ai * x[i] + bu + row[i]
                     x[i] = xi
-                    x_hat[i] = ai * xh + bi * ui
+                    x_hat[i] = ai * xh + bu
                     if filtering:
                         d = xi - last_ref[i]
                         if d > threshold or d < low:
@@ -682,6 +680,8 @@ def run(config, erasure_pattern=None, record_traces=False):
 
     if uc:
         area = [uc_area] * n
+    elif rank and not buffered:
+        blocks, pad_total, replaced_local = atomic_counts(config, k)
     squared = fold.total().tolist()
     totals = RunTotals(
         area, squared[:n], squared[n:], blocks, pad_total, triggered_total, delivered_total,

@@ -28,8 +28,8 @@ How the scalar engine's sequential parts map onto arrays:
   the shadow already holds the replayed value.
 - Links. As in engine.run, a delivery hands back its sample's
   generation slot, a compound packet's fate is one flag, UA and FA+TIS
-  discard n - k samples in every slot after slot 0, and engine._result
-  derives `published` for both engines.
+  take their blocks, padding and discards from atomic_counts, and
+  engine._result derives `published` for both engines.
 - Stage costs. Per-loop sums of x^2 and u^2 are folded block by block in
   numpy's pairwise summation order (PairwiseFold), so no array spans the
   horizon. Each node of numpy's tree of at most FOLD_CAP values is one
@@ -256,8 +256,8 @@ class _Atomic(_Link):
             self.held = np.zeros((runs, n), dtype=bool)
             self.buf_gen = np.zeros((runs, n), dtype=np.int64)
             self.shadow = np.zeros((runs, n))
-        else:  # engine.run's `spare`: each slot overwrites what the last left unsent
-            self.counts[3] = (n - self.k) * (first.horizon - max(first.warmup, 1))
+        else:
+            self.counts[0], self.counts[1], self.counts[3] = atomic_counts(first, self.k)
             self.sel = np.empty((runs, n), dtype=bool)
 
     def begin_block(self, rows, age):
@@ -308,15 +308,25 @@ class _Atomic(_Link):
     def end_block(self, window, arrives):
         blocks, padding, delivered, discards = self.counts
         arrived = arrives[window, :, 0]
-        if self.buffered:
-            picked = self.sel_rec[window].sum(axis=2)
-            discards += self.replaced_rec[window].sum(axis=(0, 2))
-        else:
-            picked = np.full(arrived.shape, self.k)
+        if not self.buffered:  # atomic_counts gave the rest
+            delivered += self.k * arrived.sum(axis=0)
+            return
+        picked = self.sel_rec[window].sum(axis=2)
+        discards += self.replaced_rec[window].sum(axis=(0, 2))
         sent = picked > 0
         blocks += sent.sum(axis=0)
         padding += (sent * (self.capacity - PDU_HEADER_SIZE - picked * self.entry_size)).sum(axis=0)
         delivered += (picked * arrived).sum(axis=0)
+
+
+def atomic_counts(config, k):
+    """Blocks, padding bytes and discards of UA and FA+TIS in the measured slots.
+
+    Each slot sends k entries; from slot 1 on, its ingest overwrites the
+    n - k samples that the slot before left unsent."""
+    slots = config.horizon - config.warmup
+    pad = config.tb_capacity - PDU_HEADER_SIZE - k * (PDU_ENTRY_OVERHEAD + VALUE_PAYLOAD_SIZE)
+    return slots, slots * pad, (config.n_loops - k) * (config.horizon - max(config.warmup, 1))
 
 
 def _take_top(cost, k, run_ids):

@@ -9,6 +9,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -36,3 +38,26 @@ def test_bench_measures_each_cell_and_pairs_two_trees(tmp_path):
     assert list(ratios["cells"]) == cells
     assert len(ratios["summed_pairs"]) == report["pairs"] == 1
     assert ratios["summed_cell_us_per_slot"] > 0.0
+
+
+def test_bench_stages_split_each_lockstep_cell_and_unwrap_after(tmp_path):
+    from salsim import lockstep
+    from salsim.engine import SimConfig, _takes_lockstep
+
+    bench = load_bench()
+    methods = {(o, m): vars(getattr(lockstep, o))[m] for ts in bench.STAGES.values() for o, m in ts}
+    out = tmp_path / "bench.json"
+    bench.main([str(out), "--n", "2", "--slots", "6", "--stages"])
+    cells = json.loads(out.read_text())["trees"][0]["cells"]
+    for token in bench.STRATEGIES:
+        cell = cells[f"2/{token}"]
+        if not _takes_lockstep([SimConfig(n_loops=2, strategy=token)] * 20):
+            assert "stages_us_per_slot" not in cell
+            continue
+        stages = cell["stages_us_per_slot"]
+        assert list(stages) == [*bench.STAGES, bench.REST]
+        assert stages["noise"] > 0.0 and stages["step"] > 0.0 and stages["fold"] > 0.0
+        assert sum(stages.values()) == pytest.approx(cell["staged_us_per_slot"])
+    assert "2/UA" in cells and "stages_us_per_slot" in cells["2/UA"]
+    for (owner, name), method in methods.items():
+        assert vars(getattr(lockstep, owner))[name] is method

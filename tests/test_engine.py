@@ -105,6 +105,30 @@ def test_compound_padding_fraction_single_loop():
     assert res.padding_fraction == pytest.approx(29 / 64)
 
 
+@pytest.mark.parametrize("tok", ["UA", "FA+TIS"])
+@pytest.mark.parametrize("n, capacity", [(6, 64), (2, 200)])  # k = 2 < n, and k = n
+def test_full_block_link_counts_follow_from_the_config(tok, n, capacity):
+    # UA and FA+TIS send k = min(room // entry, n) entries in every slot,
+    # and from slot 1 on each ingest overwrites the n - k left unsent;
+    # run() and a lockstep cell of enough seeds must both give this
+    k = min((capacity - 2) // 28, n)
+    for horizon in (1, 512, 513, 1300):
+        for warmup in (0, 1, 37):
+            if warmup >= horizon:
+                continue
+            base = cfg(
+                strategy=tok, n_loops=n, tb_capacity=capacity, horizon=horizon,
+                warmup=warmup, loss_prob=0.3, deadband=0.5,
+            )
+            slots = horizon - warmup
+            padding = slots * (capacity - 2 - 28 * k) / (capacity * slots)
+            discards = (n - k) * (horizon - max(warmup, 1))
+            cell = [dataclasses.replace(base, seed=seed) for seed in range(1, 16)]
+            assert engine._takes_lockstep(cell)
+            for res in [run(base), *engine.run_cell(cell)]:
+                assert (res.padding_fraction, res.discards) == (padding, discards)
+
+
 def test_unfiltered_trigger_rate_is_one():
     assert run(cfg(horizon=40)).trigger_rate == 1.0
     assert run(cfg(strategy="UC", horizon=40)).trigger_rate == 1.0

@@ -1,6 +1,6 @@
 """Per-cell speed of salsim, scaled to the reference host speed.
 
-    python tools/bench.py OUT.json [OTHER_TREE] [--n 5,10,15,20] [--slots 2000] [--pairs 1]
+    python tools/bench.py OUT.json [OTHER_TREE] [--n 5,10,15,20] [--slots 2000] [--pairs 1] [--stages]
 
 Measures the source tree that holds this script and, when OTHER_TREE is
 given, that checkout too. Each tree is measured in a fresh interpreter,
@@ -16,6 +16,11 @@ after `python -m compileall -q src` in it, and the trees take turns
 - the fixed cost of one run: microseconds per run() call of the 8-slot
   single-loop instance that the benchmark's tiny_runs workload uses,
   the median of TINY_BLOCKS blocks of TINY_CALLS calls;
+- with --stages, for each cell that takes the lockstep pass, the
+  microseconds per slot that one more run_cell call spends in each
+  stage of the pass (STAGES: the wrapped lockstep methods), the rest as
+  "control, plant and slot loop", and that call's wrapped total, which
+  exceeds the plain one by what the wrappers cost;
 - the `src/` line count.
 
 Every time is scaled by benchmarks/hostspeed.py's reference loop, as the
@@ -27,6 +32,7 @@ median paired ratio of the summed cell times.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import platform
@@ -48,12 +54,70 @@ TINY_CALLS = 200
 TINY_BLOCKS = 5
 RUN_CALLS = 5
 CELL_CALLS = 3
+# lockstep stages timed by --stages: salsim.lockstep (class, method) pairs
+STAGES = {
+    "noise": [("_Streams", "noise")],
+    "arrivals": [("_Streams", "arrivals")],
+    "step": [("_Atomic", "step"), ("_Compound", "step")],
+    "replay": [("_Link", "replay"), ("_Atomic", "replay")],  # _Atomic's calls _Link's
+    "begin_block": [("_Atomic", "begin_block"), ("_Compound", "begin_block")],
+    "end_block": [("_Atomic", "end_block"), ("_Compound", "end_block")],
+    "fold": [("PairwiseFold", "extend")],
+}
+REST = "control, plant and slot loop"
 
 
-def measure(n_values, slots):
+def staged(speed, cell, slots):
+    """One run_cell call of a lockstep cell with STAGES wrapped.
+
+    Returns microseconds per slot for each stage and REST, and the
+    wrapped total. Reference loops that the host-speed sampler runs
+    inside a stage are left out of it, and every time is scaled as the
+    whole call is.
+    """
+    from salsim import lockstep
+    from salsim.engine import run_cell
+
+    spent = dict.fromkeys(STAGES, 0.0)
+    inside = set()
+
+    def wrap(stage, method):
+        @functools.wraps(method)
+        def timed(*args, **kwargs):
+            if stage in inside:  # a nested call of the same stage
+                return method(*args, **kwargs)
+            inside.add(stage)
+            start, loops = speed.clock(), speed.spent
+            try:
+                return method(*args, **kwargs)
+            finally:
+                spent[stage] += speed.clock() - start - (speed.spent - loops)
+                inside.discard(stage)
+
+        return timed
+
+    originals = []
+    try:
+        for stage, targets in STAGES.items():
+            for owner, name in targets:
+                cls = getattr(lockstep, owner)
+                method = vars(cls)[name]
+                originals.append((cls, name, method))
+                setattr(cls, name, wrap(stage, method))
+        _, raw, scaled = speed.timed(run_cell, cell)
+    finally:
+        for cls, name, method in originals:
+            setattr(cls, name, method)
+    us_per_slot = scaled / raw / slots * 1e6  # per raw second
+    stages = {stage: s * us_per_slot for stage, s in spent.items()}
+    stages[REST] = (raw - sum(spent.values())) * us_per_slot
+    return {"stages_us_per_slot": stages, "staged_us_per_slot": raw * us_per_slot}
+
+
+def measure(n_values, slots, stages=False):
     """One measurement of the salsim that is importable here, as a dict."""
     # imported here: the measuring interpreter's path picks the tree
-    from salsim.engine import SimConfig, run, run_cell
+    from salsim.engine import SimConfig, _takes_lockstep, run, run_cell
 
     run(SimConfig(**TINY))  # untimed: the first call pays for lazy set-up
     speed = hostspeed.HostSpeed()
@@ -70,6 +134,8 @@ def measure(n_values, slots):
                     "cell_us_per_slot": cell_s / slots * 1e6,
                     "run_us_per_slot": run_s / slots * 1e6,
                 }
+                if stages and _takes_lockstep(cell):
+                    cells[f"{n}/{token}"].update(staged(speed, cell, slots))
     tiny = [dataclasses.replace(SimConfig(**TINY), seed=seed) for seed in range(TINY_CALLS)]
     per_call = []
     for _ in range(TINY_BLOCKS):
@@ -97,14 +163,15 @@ def commit(tree):
     return described.stdout.strip() or None
 
 
-def measure_tree(tree, n_values, slots):
+def measure_tree(tree, n_values, slots, stages=False):
     """measure() in a fresh interpreter that imports salsim from `tree`."""
     src = tree / "src"
     subprocess.run([sys.executable, "-m", "compileall", "-q", str(src)], check=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
     sizes = ",".join(map(str, n_values))
     out = subprocess.run(
-        [sys.executable, __file__, "--measure", "--n", sizes, "--slots", str(slots)],
+        [sys.executable, __file__, "--measure", "--n", sizes, "--slots", str(slots)]
+        + ["--stages"] * stages,
         check=True, capture_output=True, text=True, env=env,
     ).stdout
     return json.loads(out)
@@ -112,15 +179,20 @@ def measure_tree(tree, n_values, slots):
 
 def summary(runs):
     """Medians over a tree's measurements, and its summed cell time per pass."""
-    cells = runs[0]["cells"]
     return {
-        "cells": {
-            cell: {key: statistics.median(r["cells"][cell][key] for r in runs) for key in fields}
-            for cell, fields in cells.items()
-        },
+        "cells": {cell: medians([r["cells"][cell] for r in runs]) for cell in runs[0]["cells"]},
         "summed_cell_us_per_slot": statistics.median(summed(r) for r in runs),
         "tiny_run_us": statistics.median(r["tiny_run_us"] for r in runs),
     }
+
+
+def medians(records):
+    """Key by key median of equal-shape dicts whose values are numbers or such dicts."""
+    out = {}
+    for key in records[0]:
+        values = [r[key] for r in records]
+        out[key] = medians(values) if isinstance(values[0], dict) else statistics.median(values)
+    return out
 
 
 def summed(measurement):
@@ -153,11 +225,12 @@ def main(argv=None):
     parser.add_argument("--n", default="5,10,15,20", help="comma-separated loop counts")
     parser.add_argument("--slots", type=int, default=2000, help="slots per run")
     parser.add_argument("--pairs", type=int, default=1, help="measurements of each tree")
+    parser.add_argument("--stages", action="store_true", help="time the lockstep stages too")
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     n_values = [int(part) for part in args.n.split(",")]
     if args.measure:
-        print(json.dumps(measure(n_values, args.slots)))
+        print(json.dumps(measure(n_values, args.slots, args.stages)))
         return
     if args.out is None:
         parser.error("the output file is required")
@@ -166,7 +239,7 @@ def main(argv=None):
     for pair in range(args.pairs):
         order = range(len(trees)) if pair % 2 == 0 else reversed(range(len(trees)))
         for at in order:
-            runs[at].append(measure_tree(trees[at], n_values, args.slots))
+            runs[at].append(measure_tree(trees[at], n_values, args.slots, args.stages))
             print(f"pair {pair + 1}/{args.pairs}: {trees[at]}", file=sys.stderr)
     report = {
         "machine": {
