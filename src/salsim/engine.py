@@ -21,26 +21,31 @@ alone, to draw x_0 and rank slot 0). Every link hands the controllers
 (loop, generation) pairs, as the layer's units carry their generation
 time: the sample x_gen is read from the rows of states that replay
 keeps (x_t itself when gen == t), so no value travels with a buffer
-entry or a queued packet. The object path encodes values into its PDUs
-for their byte accounting and never decodes them. A delivery replaces
-its loop's estimate and adds to the loop's age total the move of its
-newest generation times the measured slots left. Deadband semantics
-follow DeadbandFilter (first sample always admits, strict threshold,
-reference moves only on admission); the filter is inlined here and
-pinned to the reference implementation by the filtered-vs-unfiltered
-equivalence tests.
+entry or a queued packet. The object path, which FA and FA+TIS take
+under FIFO and ROUND_ROBIN, encodes values into its PDUs for their byte
+accounting and never decodes them. A delivery replaces its loop's
+estimate and adds to the loop's age total the move of its newest
+generation times the measured slots left. Deadband semantics follow
+DeadbandFilter (first sample always admits, strict threshold, reference
+moves only on admission); the filter is inlined here and pinned to the
+reference implementation by the filtered-vs-unfiltered equivalence
+tests.
 
-UC's link is a fixed schedule. Every loop admits in every slot, so each
-slot queues a packet of all loops: when each packet goes on the wire
-and which generation it carries depend only on compound_maxlen and the
-fragment count, and the link draws decide only whether it arrives.
-UC's slots run through the slot loop's compound wire, as FC's do, but
-not through its pass over the plants: each delivery lists its (slot,
-generation) and moves the one age total that all loops share. At the
-block's end each loop steps through the whole block on its own, in
-locals, and at each delivery replays x_gen over the inputs since, from
-its own block or from the rows of earlier blocks, with the same steps
-in the same order as the per-slot path.
+Links that read no plant state are a fixed schedule: UC under any
+policy, and UA under FIFO and ROUND_ROBIN. Every loop admits in every
+slot, and neither UC's queue nor those two policies read an
+acknowledgement, so what the layer hands out in each slot (UC: the
+packet that goes on the wire, and the generation it carries; UA: the
+loops whose samples fill the PDU) depends on no state and no draw. run() drives the layer through its
+start-up with the calls the slot loop would make, until its output
+repeats, and extends that by its period (_Schedule). These links skip
+the slot loop. A block's deliveries follow from the schedule and the
+block's link draws, which decide only whether a transmission arrives;
+then each loop steps through the whole block on its own, in locals,
+and at each delivery replays x_gen over the inputs since, from its own
+block or from the rows of earlier blocks, with the same steps in the
+same order as the per-slot path. The blocks sent, their padding and
+the discards come from the schedule too.
 
 A run holds the same memory whatever its horizon. Slots go by in the
 lockstep engine's blocks of lockstep.BLOCK (512): each block draws its
@@ -321,32 +326,24 @@ def run(config, erasure_pattern=None, record_traces=False):
     tis_on = strat.tis
     threshold = config.deadband
     low = -threshold
-    uc = compound_mode and not filtering
 
     # Atomic strategies under the default staleness-cost policy (rank)
     # mirror the aggregation layer inline: the pass that draws a slot's
     # samples ranks them for the next slot by staleness cost, read at the
     # controllers' delivery anchors, bit for bit with the layer's
     # selection and PDU byte accounting (see the pinned run regressions).
-    # FIFO and ROUND_ROBIN take the object path below; compound packets
-    # queue in the aggregation layer as (generation, loop ids), whatever
-    # the policy.
+    # Links that read no plant state (fixed: UC under any policy, UA
+    # under FIFO and ROUND_ROBIN) take what they send from a schedule that
+    # the layer hands out once per run; FA and FA+TIS under FIFO and
+    # ROUND_ROBIN take the object path below, and FC's packets queue in
+    # the layer as (generation, loop ids), whatever the policy.
     policy = Policy[config.policy]
     rank = policy is Policy.AOI_COST and not compound_mode
+    fixed = not (filtering or rank)
     buffered = rank and filtering and not tis_on  # FA
     handler = reader = None
-    if not rank:
-        session = SessionHandler()
-        for i in range(n):
-            session.subscribe(session.register(f"loop/{i}"), i)
-        handler = DataHandler(
-            session,
-            policy=policy,
-            gains=[(pl.a, pl.sigma_w2) for pl in plants],
-            tis_enabled=strat.tis,
-            compound_maxlen=config.compound_maxlen,
-        )
-        reader = DataReader(session)
+    if not (rank or fixed):
+        handler, reader = _layer(config, plants, policy, tis_on)
         ingest_flagged = handler.ingest_flagged
         select_uniform = handler.select_uniform
         process = reader.process
@@ -376,11 +373,10 @@ def run(config, erasure_pattern=None, record_traces=False):
     area = [(horizon * (horizon + 1) - warmup * (warmup + 1)) // 2] * n
     # deadband reference per loop; +inf admits the first sample
     last_ref = [float("inf")] * n
-    # the ids admitted for the coming slot, ascending, which the object
-    # ingest and the compound queue take; the rank pass counts them from
-    # pend0. Unfiltered runs, UC among them, admit every loop
+    # the number of samples admitted for the coming slot; their ids,
+    # ascending, which the object ingest and FC's queue take, go to fresh.
+    # The rank pass counts them from pend0, all loops under UA
     pend = pend0 = 0 if filtering else n
-    fresh = range(n)
 
     entry_size = PDU_ENTRY_OVERHEAD + VALUE_PAYLOAD_SIZE
     room = capacity - PDU_HEADER_SIZE
@@ -408,10 +404,16 @@ def run(config, erasure_pattern=None, record_traces=False):
     cur_ok = False
     if compound_mode:
         frag_table = [fragment_layout(1 + c * entry_size, capacity) for c in range(n + 1)]
-    if uc:
-        # UC packets carry every loop, so all loops share one anchor and
-        # one age total; each block's (u_t, x_t+1) rows are gathered here
-        uc_anchor, uc_area = -1, area[0]
+    if fixed:
+        schedule = _fixed_schedule(config, plants, frag_table if compound_mode else None)
+        # the slots a transmission holds the wire: one per PDU, a UC
+        # packet's fragments; its last slot delivers it, if every draw
+        # let it through (per packet, its first draw alone)
+        wire = frag_table[n][0] if compound_mode else 1
+        every_draw = wire > 1 and not per_packet
+        # a delivery at slot t reaches back this far for its sample
+        reach = max(lag for _t, entries in schedule.events for _i, lag in entries) + wire - 1
+        # each block's (u_t, x_t+1) rows are gathered here
         gathered = np.empty((block + 1, width))
 
     blocks = pad_total = triggered_total = delivered_total = 0
@@ -419,20 +421,98 @@ def run(config, erasure_pattern=None, record_traces=False):
 
     for s in range(0, horizon, block):
         size = min(block, horizon - s)
+        end = s + size
         noise = None  # never hold two blocks at once
         # the first block also draws row 0, x_0's noise, for slot -1
         noise = _noise(rng, size + (not s), scale)
         if erasure_pattern is not None:
-            arrives = [not erased for erased in erasure_pattern[s : s + size]]
+            arrives = [not erased for erased in erasure_pattern[s:end]]
         else:
             arrives = (link_rng.random(size) >= config.loss_prob).tolist()
-        uc_got = []  # (slot, gen) of the block's UC deliveries
-        if not uc:
+        if fixed:
+            # the block's deliveries, per loop, as (slot, generation) pairs,
+            # from the transmissions whose last slot falls in the block; a
+            # transmission that started in an earlier block keeps its fate
+            got = [[]] * n if compound_mode else [[] for _ in range(n)]
+            for st, entries in schedule.between(s - wire + 1, end):
+                fin = st + wire  # the slot after its last
+                on = st - s  # its first slot in the block
+                if on >= 0:
+                    cur_ok = arrives[on]
+                elif fin <= s:
+                    continue
+                else:
+                    on = 0
+                if cur_ok and every_draw:
+                    cur_ok = all(arrives[on : fin - s])
+                if fin > end or not cur_ok:
+                    continue
+                t = fin - 1
+                left = horizon - (t if t > warmup else warmup)
+                # a UC packet carries every loop at one generation: the
+                # loops share one list of deliveries and one age total,
+                # kept as loop 0's
+                for i, lag in entries[:1] if compound_mode else entries:
+                    gen = st - lag
+                    got[i].append((t, gen))
+                    area[i] += (anchor[i] - gen) * left
+                    anchor[i] = gen
+                if t >= warmup:
+                    delivered_total += len(entries)
+                if delivery_log is not None:
+                    delivery_log.extend(sorted([(t, i, st - lag) for i, lag in entries]))
+            # a pass per loop over the block's slots (from slot -1 in the
+            # first block), as slices of the list of slots between its
+            # deliveries: each delivery replays x_gen over u_gen..u_t-1 from
+            # the loop's own lists, or from rows if gen precedes them
+            first = s - (not s)
+            back = (first - row0) * width  # where x_first's row starts in rows
+            passes = len(noise)
+            dels = None
+            # one loop's column of noise at a time, as Python floats
+            for i, col in enumerate(map(np.ndarray.tolist, noise.T)):
+                ai, bi, ngi = par[i]
+                xi, xh = x[i], x_hat[i]
+                xs, us = [xi], []  # x_first.., u_first.. of the loop's block
+                keep_x, keep_u = xs.append, us.append
+                if got[i] is not dels:
+                    dels = got[i]
+                    marks = [t - first for t, _gen in dels]
+                    gens = [gen - first for _t, gen in dels]
+                    spans = list(zip([0, *marks], [*marks, passes], [None, *gens]))
+                for lo, hi, g in spans:
+                    if g is not None:
+                        if g >= 0:
+                            xh = xs[g]
+                        else:
+                            at = back + g * width + i
+                            xh = rows[at]
+                            for uk in rows[at + n : back : width]:
+                                xh = ai * xh + bi * uk
+                            g = 0
+                        for uk in us[g:lo]:
+                            xh = ai * xh + bi * uk
+                    for w in col[lo:hi]:
+                        ui = ngi * xh
+                        keep_u(ui)
+                        bu = bi * ui
+                        xi = ai * xi + bu + w
+                        keep_x(xi)
+                        xh = ai * xh + bu
+                x[i], x_hat[i] = xi, xh
+                # packed to doubles first: about half the time of numpy's
+                # conversion of a list
+                doubles = f"{passes}d"
+                gathered[:passes, i] = np.frombuffer(pack(doubles, *us))
+                gathered[:passes, n + i] = np.frombuffer(pack(doubles, *xs[1:]))
+            rows.frombytes(memoryview(gathered[:passes]).cast("B"))
+        else:
             noise = noise.tolist()
             if not s:
                 noise.append(noise.pop(0))  # slot -1 reads row 0 as noise[-1]
-        # slot -1 sends nothing: its pass only draws x_0 and ranks slot 0
-        for j in range(-1 if s == 0 else 0, size):
+        # the slot loop, which fixed links skip; slot -1 sends nothing:
+        # its pass only draws x_0 and ranks slot 0
+        for j in () if fixed else range(-1 if s == 0 else 0, size):
             t = s + j
             if t >= 0:
                 if t == warmup:  # the counters cover the measured slots only
@@ -460,9 +540,8 @@ def run(config, erasure_pattern=None, record_traces=False):
                             pad_total += last_pad
                             if cur_ok:
                                 got = cur_ids
-                                if not uc or delivery_log is not None:  # UC replays from uc_got
-                                    for i in got:
-                                        got_gen[i] = cur_gen
+                                for i in got:
+                                    got_gen[i] = cur_gen
                 elif rank:
                     # send what the last pass ranked (FA+TIS: the admitted
                     # tier first), less the padding of a short tier
@@ -504,32 +583,25 @@ def run(config, erasure_pattern=None, record_traces=False):
                 # ----------- deliveries replace their loops' estimates
                 if got:
                     left = horizon - (t if t > warmup else warmup)
-                    if uc:  # the block step below replays every loop
-                        uc_got.append((t, cur_gen))
-                        uc_area += (uc_anchor - cur_gen) * left
-                        uc_anchor = cur_gen
-                    else:
-                        now = (t - row0) * width
-                        for i in got:
-                            gen = got_gen[i]
-                            if gen == t:
-                                xh = x[i]
-                            else:  # x_gen from its row, then replay the inputs u_gen..u_t-1
-                                at = (gen - row0) * width + i
-                                xh = rows[at]
-                                ai, bi, _ = par[i]
-                                for uk in rows[at + n : now : width]:
-                                    xh = ai * xh + bi * uk
-                            x_hat[i] = xh
-                            area[i] += (anchor[i] - gen) * left
-                            anchor[i] = gen
+                    now = (t - row0) * width
+                    for i in got:
+                        gen = got_gen[i]
+                        if gen == t:
+                            xh = x[i]
+                        else:  # x_gen from its row, then replay the inputs u_gen..u_t-1
+                            at = (gen - row0) * width + i
+                            xh = rows[at]
+                            ai, bi, _ = par[i]
+                            for uk in rows[at + n : now : width]:
+                                xh = ai * xh + bi * uk
+                        x_hat[i] = xh
+                        area[i] += (anchor[i] - gen) * left
+                        anchor[i] = gen
                     delivered_total += len(got)
                     if delivery_log is not None:
                         delivery_log.extend(sorted([(t, i, got_gen[i]) for i in got]))
 
             # ------ controller update for t, plant step and sampling for t+1
-            if uc:
-                continue  # UC steps its block loop by loop below
             row = noise[j]
             pend = pend0
             if rank:
@@ -585,8 +657,7 @@ def run(config, erasure_pattern=None, record_traces=False):
                         ids[pos] = i
                         floor = costs[last]
             else:
-                if filtering:
-                    fresh = []  # the ids admitted for slot t+1
+                fresh = []  # the ids admitted for slot t+1
                 for i in range(n):
                     ai, bi, ngi = par[i]
                     xh = x_hat[i]
@@ -596,60 +667,15 @@ def run(config, erasure_pattern=None, record_traces=False):
                     xi = ai * x[i] + bu + row[i]
                     x[i] = xi
                     x_hat[i] = ai * xh + bu
-                    if filtering:
-                        d = xi - last_ref[i]
-                        if d > threshold or d < low:
-                            last_ref[i] = xi
-                            fresh.append(i)
+                    d = xi - last_ref[i]
+                    if d > threshold or d < low:
+                        last_ref[i] = xi
+                        fresh.append(i)
                 pend = len(fresh)
             rows.fromlist(u)
             rows.fromlist(x)
-        if uc:
-            # a pass per loop over the block's slots (from slot -1 in the
-            # first block), as slices of the list of slots between
-            # deliveries: each delivery replays x_gen over u_gen..u_t-1
-            # from the loop's own lists, or from rows if gen precedes them
-            first = s - (not s)
-            back = (first - row0) * width  # where x_first's row starts in rows
-            passes = len(noise)
-            marks = [t - first for t, _gen in uc_got]
-            gens = [gen - first for _t, gen in uc_got]
-            spans = list(zip([0, *marks], [*marks, passes], [None, *gens]))
-            # one loop's column of noise at a time, as Python floats
-            for i, col in enumerate(map(np.ndarray.tolist, noise.T)):
-                ai, bi, ngi = par[i]
-                xi, xh = x[i], x_hat[i]
-                xs, us = [xi], []  # x_first.., u_first.. of the loop's block
-                keep_x, keep_u = xs.append, us.append
-                for lo, hi, g in spans:
-                    if g is not None:
-                        if g >= 0:
-                            xh = xs[g]
-                        else:
-                            at = back + g * width + i
-                            xh = rows[at]
-                            for uk in rows[at + n : back : width]:
-                                xh = ai * xh + bi * uk
-                            g = 0
-                        for uk in us[g:lo]:
-                            xh = ai * xh + bi * uk
-                    for w in col[lo:hi]:
-                        ui = ngi * xh
-                        keep_u(ui)
-                        bu = bi * ui
-                        xi = ai * xi + bu + w
-                        keep_x(xi)
-                        xh = ai * xh + bu
-                x[i], x_hat[i] = xi, xh
-                # packed to doubles first: about half the time of numpy's
-                # conversion of a list
-                doubles = f"{passes}d"
-                gathered[:passes, i] = np.frombuffer(pack(doubles, *us))
-                gathered[:passes, n + i] = np.frombuffer(pack(doubles, *xs[1:]))
-            rows.frombytes(memoryview(gathered[:passes]).cast("B"))
 
         # the block's measured slots join the stage-cost sums
-        end = s + size
         lo = max(warmup, s)
         if lo < end:
             # squares of the rows of slots lo..end-1, read through a view
@@ -663,7 +689,9 @@ def run(config, erasure_pattern=None, record_traces=False):
             # one length while held samples are younger: lengths that
             # varied with UC's queue moved the array in the heap, and
             # 50k-slot runs at 20 loops raised the peak by up to 0.22 MB
-            if compound_mode:
+            if fixed:
+                keep = max(end - reach, 0)
+            elif compound_mode:
                 if frag_left:
                     keep = cur_gen
                 else:
@@ -678,8 +706,13 @@ def run(config, erasure_pattern=None, record_traces=False):
             del rows[: (keep - row0) * width]
             row0 = keep
 
-    if uc:
-        area = [uc_area] * n
+    if fixed:
+        if compound_mode:
+            area = [area[0]] * n
+        triggered_total = n * (horizon - warmup)
+        blocks, pad_total, replaced_local = map(
+            operator.sub, schedule.count(horizon), schedule.count(warmup)
+        )
     elif rank and not buffered:
         blocks, pad_total, replaced_local = atomic_counts(config, k)
     squared = fold.total().tolist()
@@ -738,6 +771,137 @@ def _prepare(config):
     except RiccatiError as exc:
         raise ConfigError(f"no stationary LQR gain for these plants: {exc}") from None
     return strat, plants, neg_gain
+
+
+def _layer(config, plants, policy, tis):
+    """A run's aggregation layer: its DataHandler and DataReader, one id per loop."""
+    session = SessionHandler()
+    for i in range(config.n_loops):
+        session.subscribe(session.register(f"loop/{i}"), i)
+    handler = DataHandler(
+        session,
+        policy=policy,
+        gains=[(pl.a, pl.sigma_w2) for pl in plants],
+        tis_enabled=tis,
+        compound_maxlen=config.compound_maxlen,
+    )
+    return handler, DataReader(session)
+
+
+class _Schedule:
+    """What a link that reads no plant state sends in each slot.
+
+    step(t) makes slot t's layer calls and returns the entries the layer
+    handed out, as (loop, lag) pairs with lag = t - generation, or None.
+    The layer's state after a slot that hands out entries follows from
+    those entries alone, as each slot hands it the same ingest, so once
+    the entries repeat an earlier slot's, every later slot repeats the
+    slot `period` before it. The drive stops there, or at the horizon;
+    between() and count() extend what it saw by the period. tally()
+    gives the link's running counts, a tuple of blocks sent, padding
+    bytes and discards.
+    """
+
+    def __init__(self, step, tally, horizon):
+        self.events = []  # (slot, entries) over the slots driven
+        self.tallies = [tally()]  # before each slot driven, and after the last
+        self.period = 0
+        seen = {}
+        for t in range(horizon):
+            entries = step(t)
+            self.tallies.append(tally())
+            if entries is not None:
+                self.events.append((t, entries))
+                first = seen.setdefault(entries, t)
+                if first < t:
+                    self.period = t - first
+                    break
+        self.last = t
+        # the events that repeat: those after the first of the repeated pair
+        self.unit = [e for e in self.events if e[0] > t - self.period] if self.period else []
+
+    def between(self, lo, hi):
+        """The (slot, entries) events of slots lo..hi-1, in slot order."""
+        for e in self.events:
+            if lo <= e[0] < hi:
+                yield e
+        period = self.period
+        if period and hi > self.last + 1:
+            # the first copy of the unit that reaches lo, and not the unit itself
+            shift = max(1, -((self.last - lo) // period)) * period
+            while True:
+                for t, entries in self.unit:
+                    t += shift
+                    if t >= hi:
+                        return
+                    if t >= lo:
+                        yield t, entries
+                shift += period
+
+    def count(self, t):
+        """The counts of slots 0..t-1."""
+        tallies = self.tallies
+        if t < len(tallies):
+            return tallies[t]
+        base = self.last + 1 - self.period
+        q, r = divmod(t - base, self.period)
+        return tuple(
+            at + q * (done - start)
+            for at, done, start in zip(tallies[base + r], tallies[-1], tallies[base])
+        )
+
+
+def _fixed_schedule(config, plants, frag_table=None):
+    """The _Schedule of UC, given its frag_table, or of UA under FIFO or ROUND_ROBIN.
+
+    Every loop hands its sample down in every slot. UC queues a packet of
+    all loops, and an idle wire takes the oldest queued packet, which
+    holds it for the packet's fragments (frag_table[entries][0]). UA's
+    layer picks by its policy, and the PDU goes through the reader; FIFO
+    and ROUND_ROBIN read no acknowledgement, so the picks do not depend on
+    what arrives.
+    """
+    n = config.n_loops
+    capacity = config.tb_capacity
+    handler, reader = _layer(config, plants, Policy[config.policy], False)
+    every = range(n)
+    busy = pad = blocks = padding = 0  # busy: the slots the wire is still held
+
+    def uc_step(t):
+        nonlocal busy, pad, blocks, padding
+        handler.ingest_compound((t, every))
+        entries = None
+        if not busy:
+            packet = handler.next_compound()
+            if packet is None:
+                return None
+            gen, ids = packet
+            busy, pad = frag_table[len(ids)]
+            entries = tuple([(i, t - gen) for i in ids])
+        blocks += 1
+        busy -= 1
+        if not busy:
+            padding += pad
+        return entries
+
+    values = [0.0] * n  # picks and PDU sizes do not depend on the values
+
+    def ua_step(t):
+        nonlocal blocks, padding
+        handler.ingest_flagged(t, values, VALUE_PAYLOAD_SIZE, every, False)
+        picked = handler.select_uniform(capacity, t, VALUE_PAYLOAD_SIZE)
+        if not picked:
+            return None
+        pdu = compose_pdu([Mdu(e[0], e[1], encode_value(e[2])) for e in picked], capacity)
+        blocks += 1
+        padding += pdu.padding_bytes
+        return tuple([(m.id, t - m.gen_time) for m, _subs in reader.process(pdu, t)[0]])
+
+    return _Schedule(
+        ua_step if frag_table is None else uc_step,
+        lambda: (blocks, padding, _sal_discards(handler, reader)),
+        config.horizon,
+    )
 
 
 def _sal_discards(handler, reader):
@@ -840,15 +1004,17 @@ def _takes_lockstep(configs):
     Only AOI_COST cells of two or more seeds qualify. A pass pays a
     fixed cost per slot whatever the number of runs, while each seed it
     carries saves about 2 + n/2 us of run()'s slot loop at n loops for
-    UA and FA, 3 + n/2 us for FC and 3 + n/4 us for UC, which run()
-    steps a block at a time; the pass is taken once the savings exceed
-    the fixed cost. Every timed cell that the rule sends to the pass runs
-    faster there than in run(), at 1-40 loops and 1-20 seeds. Re-timed
-    against the one-pass run(), UA and FA cells first ran faster in the
-    pass at 6-8 seeds of 5 loops and 3-4 of 20, and the rule still takes
-    it from 9 and 4; against the block-stepped UC, UC cells did from 18
-    seeds of 5 loops and 10 of 20, and FC cells from 14 and 6, where the
-    rule takes the pass too.
+    UA and FA, 3 + n/2 us for FC and 2.9 + n/4 us for UC, which run()
+    steps a block at a time from its schedule; the pass is taken once
+    the savings exceed the fixed cost. Every timed cell that the rule
+    sends to the pass runs faster there than in run(), at 1-40 loops and
+    1-20 seeds. Re-timed against the one-pass run(), UA and FA cells
+    first ran faster in the pass at 6-8 seeds of 5 loops and 3-4 of 20,
+    and the rule still takes it from 9 and 4; against the block-stepped
+    UC, FC cells did from 14 seeds of 5 loops and 6 of 20, where the
+    rule takes the pass too. Against UC's scheduled run(), UC cells did
+    from 19 seeds of 5 loops, 14 of 10, 12 of 15 and 10 of 20, where the
+    rule takes it, and 7 of 40, one above the rule's 6.
     """
     first = configs[0]
     if len(configs) < 2 or first.policy != Policy.AOI_COST.name:
@@ -857,7 +1023,7 @@ def _takes_lockstep(configs):
     strat = first.resolved_strategy()
     if not strat.compound:
         return len(configs) * (2 + n / 2) > LOCKSTEP_ATOMIC_US
-    saved = 3 + (n / 2 if strat.filtered else n / 4)
+    saved = 3 + n / 2 if strat.filtered else 2.9 + n / 4
     return len(configs) * saved > LOCKSTEP_COMPOUND_US
 
 

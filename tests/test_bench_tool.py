@@ -26,16 +26,21 @@ def test_bench_measures_each_cell_and_pairs_two_trees(tmp_path):
     out = tmp_path / "bench.json"
     bench.main([str(out), str(ROOT), "--n", "2", "--slots", "6"])
     report = json.loads(out.read_text())
-    cells = [f"2/{token}" for token in bench.STRATEGIES]
+    grid = [f"2/{token}" for token in bench.STRATEGIES]
+    policies = [f"2/{token}/{p}" for p in bench.POLICIES for token in bench.POLICY_STRATEGIES]
     assert len(report["trees"]) == 2
     for tree in report["trees"]:
         assert tree["src_lines"] == bench.src_lines(ROOT)
-        assert list(tree["cells"]) == cells
-        for cell in tree["cells"].values():
-            assert cell["cell_us_per_slot"] > 0.0 and cell["run_us_per_slot"] > 0.0
+        assert list(tree["cells"]) == grid + policies
+        for name, cell in tree["cells"].items():
+            # FIFO and ROUND_ROBIN cells time run() alone
+            timed = ["run_us_per_slot"] if name in policies else ["cell_us_per_slot", "run_us_per_slot"]
+            assert list(cell) == timed
+            assert all(value > 0.0 for value in cell.values())
         assert tree["tiny_run_us"] > 0.0
     ratios = report["ratios"]
-    assert list(ratios["cells"]) == cells
+    assert list(ratios["cells"]) == grid + policies
+    assert all(list(ratios["cells"][name]) == ["run_us_per_slot"] for name in policies)
     assert len(ratios["summed_pairs"]) == report["pairs"] == 1
     assert ratios["summed_cell_us_per_slot"] > 0.0
 

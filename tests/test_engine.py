@@ -8,7 +8,9 @@ freshness recurrence, and determinism / stream-alignment properties.
 import concurrent.futures
 import dataclasses
 import math
+import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,9 +20,13 @@ import pytest
 
 import salsim
 import salsim.engine as engine
+from salsim.channel import fragment_layout
 from salsim.engine import ConfigError, SimConfig, run, summarize, sweep
+from salsim.lockstep import atomic_counts
+from salsim.mdu import Mdu
 from salsim.plant import PlantParams, solve_riccati
-from salsim.sal import Policy
+from salsim.publisher import encode_value
+from salsim.sal import DataHandler, DataReader, Policy, SessionHandler, compose_pdu
 
 from conftest import scripted_uc_log
 
@@ -105,27 +111,155 @@ def test_compound_padding_fraction_single_loop():
     assert res.padding_fraction == pytest.approx(29 / 64)
 
 
-@pytest.mark.parametrize("tok", ["UA", "FA+TIS"])
+def drive_layer(config):
+    """An unfiltered run's aggregation layer, driven slot by slot.
+
+    Returns what the layer hands out in each slot of the horizon, as a
+    set of (loop, generation) pairs or None, and its discards before
+    each slot and after the last. Under UC every slot queues a packet of
+    all loops, and an idle wire takes the oldest queued packet for its
+    fragment count; under UA every slot ingests every loop's sample, and
+    the layer's picks go out in a PDU through the reader.
+    """
+    n, capacity = config.n_loops, config.tb_capacity
+    session = SessionHandler()
+    for i in range(n):
+        session.subscribe(session.register(f"loop/{i}"), i)
+    handler = DataHandler(
+        session, policy=Policy[config.policy], gains=[(1.0, 1.0)] * n,
+        compound_maxlen=config.compound_maxlen,
+    )
+    reader = DataReader(session)
+    fragments = fragment_layout(1 + 28 * n, capacity)[0]
+    busy = 0
+    sent, discards = [], [0]
+    for t in range(config.horizon):
+        out = None
+        if config.strategy == "UC":
+            handler.ingest_compound((t, tuple(range(n))))
+            if not busy:
+                gen, ids = handler.next_compound()
+                out = {(i, gen) for i in ids}
+                busy = fragments
+            busy -= 1
+        else:
+            handler.ingest_flagged(t, [t / 7.0] * n, 20, range(n), False)
+            picked = handler.select_uniform(capacity, t, 20)
+            pdu = compose_pdu([Mdu(e.mdu_id, e.gen_time, encode_value(e.payload)) for e in picked], capacity)
+            out = {(mdu.id, mdu.gen_time) for mdu, _subs in reader.process(pdu, t)[0]}
+        sent.append(out)
+        discards.append(handler.replaced_discards + handler.overflow_drops + reader.unsubscribed_drops)
+    return sent, discards
+
+
+def fixed_schedule(config):
+    """run()'s schedule of an unfiltered link under config."""
+    frag_table = None
+    if config.strategy == "UC":
+        frag_table = [fragment_layout(1 + 28 * c, config.tb_capacity) for c in range(config.n_loops + 1)]
+    return engine._fixed_schedule(config, config.make_plants(), frag_table)
+
+
+def fixed_link_configs(seed, count):
+    """Seeded UA (FIFO, ROUND_ROBIN) and UC configs: UA at 1-24 loops with
+    k = 1..n or k >= n entries per PDU, UC with compound_maxlen 1-20 and
+    1-12 fragments per packet."""
+    rng = random.Random(seed)
+    configs = []
+    while len(configs) < count:
+        n = rng.randint(1, 24)
+        if len(configs) % 2:
+            k = rng.randint(1, n + 2)
+            configs.append(cfg(
+                strategy="UA", policy=rng.choice(["FIFO", "ROUND_ROBIN"]), n_loops=n,
+                tb_capacity=2 + 28 * k + rng.randint(0, 27),
+            ))
+            continue
+        fragments = rng.randint(1, 12)
+        packed = 1 + 28 * n
+        chunks = [c for c in range(1, packed + 1) if fragment_layout(packed, c + 6)[0] == fragments]
+        if chunks:
+            configs.append(cfg(
+                strategy="UC", policy=rng.choice(list(Policy.__members__)), n_loops=n,
+                tb_capacity=rng.choice(chunks) + 6, compound_maxlen=rng.randint(1, 20),
+                per_packet_loss=rng.random() < 0.3,
+            ))
+    return configs
+
+
+def test_fixed_schedule_follows_a_full_drive_of_the_layer():
+    # run() drives the layer only through its start-up, until what it
+    # hands out repeats, and extends that by the period: over the whole
+    # horizon, on both sides of the start-up's length, the schedule must
+    # give every slot's entries, their generations and the discards, as
+    # the layer driven in every slot does
+    extended = 0
+    uc_shapes = set()  # (a queue of one, one fragment) among the UC configs
+    for config in fixed_link_configs(22, 160):
+        startup = fixed_schedule(dataclasses.replace(config, horizon=10_000)).last + 1
+        fragments = fragment_layout(1 + 28 * config.n_loops, config.tb_capacity)[0]
+        for horizon in sorted({max(startup - 1, 1), startup, startup + 1, 3 * startup + fragments + 5}):
+            c = dataclasses.replace(config, horizon=horizon, warmup=horizon // 3)
+            sent, discards = drive_layer(c)
+            schedule = fixed_schedule(c)
+            events = dict(schedule.between(0, horizon))
+            assert set(events) == {t for t, out in enumerate(sent) if out is not None}, c
+            for t, entries in events.items():
+                assert {(i, t - lag) for i, lag in entries} == sent[t], (c, t)
+            assert [schedule.count(t)[2] for t in range(horizon + 1)] == discards, c
+            counted = map(operator.sub, schedule.count(horizon), schedule.count(c.warmup))
+            assert list(counted)[2] == discards[horizon] - discards[c.warmup]
+            extended += schedule.last + 1 < horizon
+        if config.strategy == "UC":
+            # past start-up a packet arrives M + F - 2 slots after its
+            # generation, but a one-fragment packet leaves no backlog
+            maxlen = config.compound_maxlen
+            lags = {lag + fragments - 1 for _i, lag in schedule.events[-1][1]}
+            assert lags == {maxlen + fragments - 2 if fragments > 1 else 0}
+            uc_shapes.add((maxlen == 1, fragments == 1))
+    assert extended >= 150
+    assert uc_shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("tok", ["UA", "FA+TIS", "UA/FIFO", "UA/ROUND_ROBIN", "UC"])
 @pytest.mark.parametrize("n, capacity", [(6, 64), (2, 200)])  # k = 2 < n, and k = n
-def test_full_block_link_counts_follow_from_the_config(tok, n, capacity):
+def test_full_block_link_counts_follow_from_the_config(monkeypatch, tok, n, capacity):
     # UA and FA+TIS send k = min(room // entry, n) entries in every slot,
     # and from slot 1 on each ingest overwrites the n - k left unsent;
-    # run() and a lockstep cell of enough seeds must both give this
+    # run() and, under AOI_COST, a lockstep cell of enough seeds must both
+    # give this. UC's wire is never idle, and its queue drops what the
+    # layer counts
+    strategy, _, policy = tok.partition("/")
+    policy = policy or "AOI_COST"
+    totals = []
+    result = engine._result
+    monkeypatch.setattr(engine, "_result", lambda *args: totals.append(args[3]) or result(*args))
     k = min((capacity - 2) // 28, n)
     for horizon in (1, 512, 513, 1300):
         for warmup in (0, 1, 37):
             if warmup >= horizon:
                 continue
             base = cfg(
-                strategy=tok, n_loops=n, tb_capacity=capacity, horizon=horizon,
-                warmup=warmup, loss_prob=0.3, deadband=0.5,
+                strategy=strategy, policy=policy, n_loops=n, tb_capacity=capacity,
+                horizon=horizon, warmup=warmup, loss_prob=0.3, deadband=0.5,
             )
             slots = horizon - warmup
+            if strategy == "UC":
+                res = run(base)
+                discards = drive_layer(base)[1]
+                assert totals[-1].blocks == slots
+                assert res.discards == discards[horizon] - discards[warmup]
+                continue
             padding = slots * (capacity - 2 - 28 * k) / (capacity * slots)
             discards = (n - k) * (horizon - max(warmup, 1))
+            results = [run(base)]
+            last = totals[-1]
+            assert (last.blocks, last.padding, last.discards) == atomic_counts(base, k)
             cell = [dataclasses.replace(base, seed=seed) for seed in range(1, 16)]
-            assert engine._takes_lockstep(cell)
-            for res in [run(base), *engine.run_cell(cell)]:
+            assert engine._takes_lockstep(cell) is (policy == "AOI_COST")
+            if policy == "AOI_COST":
+                results += engine.run_cell(cell)
+            for res in results:
                 assert (res.padding_fraction, res.discards) == (padding, discards)
 
 
@@ -406,21 +540,24 @@ def test_run_peak_memory_per_loop_slot():
     assert per_extra_slot < 1.0
 
 
-# peak resident growth, in MB, of 50k-slot N=20 runs of UA, FA and UC
-# after 2,000-slot warm-up runs of each
+# peak resident growth, in MB, of 50k-slot N=20 runs of UA, FA and UC,
+# and of UA under FIFO and ROUND_ROBIN, after 2,000-slot warm-up runs of
+# each
 BLOCK_MEMORY_PROBE = """
-import resource, sys
+import resource, sys, warnings
 from salsim.engine import SimConfig, run
 
 def peak():
     unit = 1 if sys.platform == "darwin" else 1024
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
 
-for tok in ("UA", "FA", "UC"):
-    run(SimConfig(n_loops=20, horizon=2_000, warmup=100, strategy=tok))
+warnings.simplefilter("ignore")  # FIFO leaves loops unserved, whose states overflow
+runs = [(tok, "AOI_COST") for tok in ("UA", "FA", "UC")] + [("UA", "FIFO"), ("UA", "ROUND_ROBIN")]
+for tok, policy in runs:
+    run(SimConfig(n_loops=20, horizon=2_000, warmup=100, strategy=tok, policy=policy))
 before = peak()
-for tok in ("UA", "FA", "UC"):
-    run(SimConfig(n_loops=20, horizon=50_000, warmup=1_000, strategy=tok))
+for tok, policy in runs:
+    run(SimConfig(n_loops=20, horizon=50_000, warmup=1_000, strategy=tok, policy=policy))
     print((peak() - before) / 1e6)
 """
 
@@ -430,7 +567,7 @@ def test_long_runs_hold_no_more_than_a_warm_up_run():
     # resident once allocated; blocks of 4,096 slots raised the peak by
     # 6-8 MB over a warmed-up process
     growth = [float(mb) for mb in python_output(BLOCK_MEMORY_PROBE).split()]
-    assert len(growth) == 3
+    assert len(growth) == 5
     assert max(growth) <= 2.0, growth
 
 

@@ -225,7 +225,8 @@ def test_single_seed_and_object_policies_keep_calling_run(monkeypatch):
 
 # (loops, strategy, seeds, policy, whether the cell takes the pass)
 ROUTES = [
-    (5, "UC", 18, "AOI_COST", True),
+    (5, "UC", 19, "AOI_COST", True),
+    (5, "UC", 18, "AOI_COST", False),
     (5, "UC", 17, "AOI_COST", False),
     (5, "UC", 16, "AOI_COST", False),
     (20, "UC", 10, "AOI_COST", True),

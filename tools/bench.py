@@ -11,8 +11,12 @@ after `python -m compileall -q src` in it, and the trees take turns
   FA+TIS; the default config otherwise, with `--slots` slots and no
   warmup): microseconds per slot of run_cell over the default 20 seeds,
   which takes the lockstep pass, the median of CELL_CALLS calls, and of
-  run() on the first seed alone, the median of RUN_CALLS calls, as one
-  call of either is too short to resolve;
+  run() on the first seed alone, as one call of either is too short to
+  resolve;
+- for UA and FA under each of POLICIES at each N (cells "N/UA/FIFO"
+  and so on), the microseconds per slot of run() alone: these cells
+  never take the lockstep pass. Every cell's run() time is the median
+  of RUN_CALLS rounds, each of which calls every cell's run() once;
 - the fixed cost of one run: microseconds per run() call of the 8-slot
   single-loop instance that the benchmark's tiny_runs workload uses,
   the median of TINY_BLOCKS blocks of TINY_CALLS calls;
@@ -52,8 +56,12 @@ STRATEGIES = ("UC", "FC", "UA", "FA", "FA+TIS")
 TINY = dict(n_loops=1, horizon=8, warmup=0, strategy="UA", loss_prob=0.3, repetitions=1)
 TINY_CALLS = 200
 TINY_BLOCKS = 5
-RUN_CALLS = 5
+# rounds of run() calls: fifteen kept two measurements of one tree
+# within 5% per cell, where five calls of a cell in a row spread 10%
+RUN_CALLS = 15
 CELL_CALLS = 3
+POLICIES = ("FIFO", "ROUND_ROBIN")
+POLICY_STRATEGIES = ("UA", "FA")
 # lockstep stages timed by --stages: salsim.lockstep (class, method) pairs
 STAGES = {
     "noise": [("_Streams", "noise")],
@@ -122,20 +130,31 @@ def measure(n_values, slots, stages=False):
     run(SimConfig(**TINY))  # untimed: the first call pays for lazy set-up
     speed = hostspeed.HostSpeed()
     cells = {}
+    runs = {}  # cell -> the config whose run() is timed
     with speed:
         for n in n_values:
             for token in STRATEGIES:
-                base = SimConfig(n_loops=n, strategy=token, horizon=slots, warmup=0)
+                name = f"{n}/{token}"
+                base = runs[name] = SimConfig(n_loops=n, strategy=token, horizon=slots, warmup=0)
                 seeds = range(base.seed, base.seed + base.repetitions)
                 cell = [dataclasses.replace(base, seed=seed) for seed in seeds]
                 cell_s = statistics.median(speed.timed(run_cell, cell)[2] for _ in range(CELL_CALLS))
-                run_s = statistics.median(speed.timed(run, base)[2] for _ in range(RUN_CALLS))
-                cells[f"{n}/{token}"] = {
-                    "cell_us_per_slot": cell_s / slots * 1e6,
-                    "run_us_per_slot": run_s / slots * 1e6,
-                }
+                cells[name] = {"cell_us_per_slot": cell_s / slots * 1e6}
                 if stages and _takes_lockstep(cell):
-                    cells[f"{n}/{token}"].update(staged(speed, cell, slots))
+                    cells[name].update(staged(speed, cell, slots))
+            for policy in POLICIES:
+                for token in POLICY_STRATEGIES:
+                    name = f"{n}/{token}/{policy}"
+                    runs[name] = SimConfig(n_loops=n, strategy=token, policy=policy, horizon=slots, warmup=0)
+                    cells[name] = {}
+        # one call of each cell per round, so that a slow spell of the
+        # host falls on many cells once rather than on one cell throughout
+        times = {name: [] for name in runs}
+        for _ in range(RUN_CALLS):
+            for name, config in runs.items():
+                times[name].append(speed.timed(run, config)[2])
+    for name, samples in times.items():
+        cells[name]["run_us_per_slot"] = statistics.median(samples) / slots * 1e6
     tiny = [dataclasses.replace(SimConfig(**TINY), seed=seed) for seed in range(TINY_CALLS)]
     per_call = []
     for _ in range(TINY_BLOCKS):
@@ -196,7 +215,9 @@ def medians(records):
 
 
 def summed(measurement):
-    return sum(cell["cell_us_per_slot"] for cell in measurement["cells"].values())
+    """The summed lockstep cell times of a measurement."""
+    cells = measurement["cells"].values()
+    return sum(cell["cell_us_per_slot"] for cell in cells if "cell_us_per_slot" in cell)
 
 
 def paired_ratios(mine, other):
@@ -206,6 +227,7 @@ def paired_ratios(mine, other):
             key: statistics.median(m["cells"][cell][key] / o["cells"][cell][key]
                                    for m, o in zip(mine, other))
             for key in ("cell_us_per_slot", "run_us_per_slot")
+            if key in mine[0]["cells"][cell]
         }
         for cell in mine[0]["cells"]
     }
