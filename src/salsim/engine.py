@@ -34,18 +34,22 @@ tests.
 Links that read no plant state are a fixed schedule: UC under any
 policy, and UA under FIFO and ROUND_ROBIN. Every loop admits in every
 slot, and neither UC's queue nor those two policies read an
-acknowledgement, so what the layer hands out in each slot (UC: the
-packet that goes on the wire, and the generation it carries; UA: the
-loops whose samples fill the PDU) depends on no state and no draw. run() drives the layer through its
-start-up with the calls the slot loop would make, until its output
-repeats, and extends that by its period (_Schedule). These links skip
-the slot loop. A block's deliveries follow from the schedule and the
-block's link draws, which decide only whether a transmission arrives;
-then each loop steps through the whole block on its own, in locals,
-and at each delivery replays x_gen over the inputs since, from its own
-block or from the rows of earlier blocks, with the same steps in the
-same order as the per-slot path. The blocks sent, their padding and
-the discards come from the schedule too.
+acknowledgement, so what the layer hands out (UC: the packet that goes
+on the wire, and the generation it carries; UA: the loops whose samples
+fill the PDU) depends on no state and no draw. Nor is the wire ever
+idle: UC queues a packet before an idle wire takes one, and a PDU holds
+at least one entry, so transmission j holds the wire for its `wire`
+slots (a UC packet's fragments, or one PDU) from slot j * wire. run()
+drives the layer through its start-up with the calls the slot loop
+would make, until a transmission repeats an earlier one, and extends
+that by its period (_Schedule). These links skip the slot loop. A
+block's deliveries are the transmissions whose last slot falls in it,
+each decided by its own link draws; then each loop steps through the
+whole block on its own, in locals, and at each delivery replays x_gen
+over the inputs since, from its own block or from the rows of earlier
+blocks, with the same steps in the same order as the per-slot path.
+The blocks sent, their padding and the discards come from the schedule
+too.
 
 A run holds the same memory whatever its horizon. Slots go by in the
 lockstep engine's blocks of lockstep.BLOCK (512): each block draws its
@@ -409,10 +413,11 @@ def run(config, erasure_pattern=None, record_traces=False):
         # the slots a transmission holds the wire: one per PDU, a UC
         # packet's fragments; its last slot delivers it, if every draw
         # let it through (per packet, its first draw alone)
-        wire = frag_table[n][0] if compound_mode else 1
+        wire = schedule.wire
         every_draw = wire > 1 and not per_packet
         # a delivery at slot t reaches back this far for its sample
-        reach = max(lag for _t, entries in schedule.events for _i, lag in entries) + wire - 1
+        reach = max(lag for entries in schedule.sent for _i, lag in entries) + wire - 1
+        tail = []  # the draws of the last wire - 1 slots before the block
         # each block's (u_t, x_t+1) rows are gathered here
         gathered = np.empty((block + 1, width))
 
@@ -431,23 +436,18 @@ def run(config, erasure_pattern=None, record_traces=False):
             arrives = (link_rng.random(size) >= config.loss_prob).tolist()
         if fixed:
             # the block's deliveries, per loop, as (slot, generation) pairs,
-            # from the transmissions whose last slot falls in the block; a
-            # transmission that started in an earlier block keeps its fate
+            # from the transmissions whose last slot falls in the block,
+            # each decided by its own draws
             got = [[]] * n if compound_mode else [[] for _ in range(n)]
-            for st, entries in schedule.between(s - wire + 1, end):
-                fin = st + wire  # the slot after its last
-                on = st - s  # its first slot in the block
-                if on >= 0:
-                    cur_ok = arrives[on]
-                elif fin <= s:
+            draws = tail + arrives
+            off = len(tail) - s  # slot t's draw is draws[t + off]
+            for j in range(s // wire, end // wire):
+                st = j * wire
+                on = st + off
+                if not (all(draws[on : on + wire]) if every_draw else draws[on]):
                     continue
-                else:
-                    on = 0
-                if cur_ok and every_draw:
-                    cur_ok = all(arrives[on : fin - s])
-                if fin > end or not cur_ok:
-                    continue
-                t = fin - 1
+                entries = schedule.entries(j)
+                t = st + wire - 1
                 left = horizon - (t if t > warmup else warmup)
                 # a UC packet carries every loop at one generation: the
                 # loops share one list of deliveries and one age total,
@@ -461,6 +461,7 @@ def run(config, erasure_pattern=None, record_traces=False):
                     delivered_total += len(entries)
                 if delivery_log is not None:
                     delivery_log.extend(sorted([(t, i, st - lag) for i, lag in entries]))
+            tail = draws[max(len(draws) - wire + 1, 0) :]
             # a pass per loop over the block's slots (from slot -1 in the
             # first block), as slices of the list of slots between its
             # deliveries: each delivery replays x_gen over u_gen..u_t-1 from
@@ -789,62 +790,56 @@ def _layer(config, plants, policy, tis):
 
 
 class _Schedule:
-    """What a link that reads no plant state sends in each slot.
+    """What a link that reads no plant state sends, one transmission at a time.
 
-    step(t) makes slot t's layer calls and returns the entries the layer
-    handed out, as (loop, lag) pairs with lag = t - generation, or None.
-    The layer's state after a slot that hands out entries follows from
-    those entries alone, as each slot hands it the same ingest, so once
-    the entries repeat an earlier slot's, every later slot repeats the
-    slot `period` before it. The drive stops there, or at the horizon;
-    between() and count() extend what it saw by the period. tally()
-    gives the link's running counts, a tuple of blocks sent, padding
-    bytes and discards.
+    The wire of such a link is never idle: UC queues a packet of every
+    loop in every slot before an idle wire takes one, and UA hands every
+    loop down, so each PDU holds at least one entry. Transmission j thus
+    holds the wire for `wire` slots from slot j * wire. step(t) makes
+    slot t's layer calls and returns the entries the layer handed out, as
+    (loop, lag) pairs with lag = t - generation, in the slots where a
+    transmission starts, and None in the others. The layer's state after
+    such a slot follows from its entries alone, as each slot hands it the
+    same ingest, so once a transmission's entries repeat an earlier one's,
+    every later transmission repeats the one `period` before it. The
+    drive stops there, or at the horizon; entries() and count() extend
+    what it saw by the period. tally() gives the link's running counts, a
+    tuple of blocks sent, padding bytes and discards.
     """
 
-    def __init__(self, step, tally, horizon):
-        self.events = []  # (slot, entries) over the slots driven
+    def __init__(self, step, tally, horizon, wire):
+        self.wire = wire
+        self.sent = []  # the entries of each transmission driven
         self.tallies = [tally()]  # before each slot driven, and after the last
-        self.period = 0
+        self.period = 0  # in transmissions
         seen = {}
         for t in range(horizon):
             entries = step(t)
             self.tallies.append(tally())
             if entries is not None:
-                self.events.append((t, entries))
-                first = seen.setdefault(entries, t)
-                if first < t:
-                    self.period = t - first
+                j = len(self.sent)
+                self.sent.append(entries)
+                first = seen.setdefault(entries, j)
+                if first < j:
+                    self.period = j - first
                     break
-        self.last = t
-        # the events that repeat: those after the first of the repeated pair
-        self.unit = [e for e in self.events if e[0] > t - self.period] if self.period else []
 
-    def between(self, lo, hi):
-        """The (slot, entries) events of slots lo..hi-1, in slot order."""
-        for e in self.events:
-            if lo <= e[0] < hi:
-                yield e
-        period = self.period
-        if period and hi > self.last + 1:
-            # the first copy of the unit that reaches lo, and not the unit itself
-            shift = max(1, -((self.last - lo) // period)) * period
-            while True:
-                for t, entries in self.unit:
-                    t += shift
-                    if t >= hi:
-                        return
-                    if t >= lo:
-                        yield t, entries
-                shift += period
+    def entries(self, j):
+        """The entries of transmission j."""
+        sent = self.sent
+        if j < len(sent):
+            return sent[j]
+        first = len(sent) - 1 - self.period  # the first of the repeated pair
+        return sent[first + (j - first) % self.period]
 
     def count(self, t):
         """The counts of slots 0..t-1."""
         tallies = self.tallies
         if t < len(tallies):
             return tallies[t]
-        base = self.last + 1 - self.period
-        q, r = divmod(t - base, self.period)
+        period = self.period * self.wire
+        base = len(tallies) - 1 - period
+        q, r = divmod(t - base, period)
         return tuple(
             at + q * (done - start)
             for at, done, start in zip(tallies[base + r], tallies[-1], tallies[base])
@@ -856,9 +851,9 @@ def _fixed_schedule(config, plants, frag_table=None):
 
     Every loop hands its sample down in every slot. UC queues a packet of
     all loops, and an idle wire takes the oldest queued packet, which
-    holds it for the packet's fragments (frag_table[entries][0]). UA's
-    layer picks by its policy, and the PDU goes through the reader; FIFO
-    and ROUND_ROBIN read no acknowledgement, so the picks do not depend on
+    holds it for the packet's fragments (frag_table[n][0]). UA's layer
+    picks by its policy, and the PDU goes through the reader; FIFO and
+    ROUND_ROBIN read no acknowledgement, so the picks do not depend on
     what arrives.
     """
     n = config.n_loops
@@ -872,10 +867,7 @@ def _fixed_schedule(config, plants, frag_table=None):
         handler.ingest_compound((t, every))
         entries = None
         if not busy:
-            packet = handler.next_compound()
-            if packet is None:
-                return None
-            gen, ids = packet
+            gen, ids = handler.next_compound()
             busy, pad = frag_table[len(ids)]
             entries = tuple([(i, t - gen) for i in ids])
         blocks += 1
@@ -890,8 +882,6 @@ def _fixed_schedule(config, plants, frag_table=None):
         nonlocal blocks, padding
         handler.ingest_flagged(t, values, VALUE_PAYLOAD_SIZE, every, False)
         picked = handler.select_uniform(capacity, t, VALUE_PAYLOAD_SIZE)
-        if not picked:
-            return None
         pdu = compose_pdu([Mdu(e[0], e[1], encode_value(e[2])) for e in picked], capacity)
         blocks += 1
         padding += pdu.padding_bytes
@@ -901,6 +891,7 @@ def _fixed_schedule(config, plants, frag_table=None):
         ua_step if frag_table is None else uc_step,
         lambda: (blocks, padding, _sal_discards(handler, reader)),
         config.horizon,
+        1 if frag_table is None else frag_table[n][0],
     )
 
 
@@ -1004,17 +995,16 @@ def _takes_lockstep(configs):
     Only AOI_COST cells of two or more seeds qualify. A pass pays a
     fixed cost per slot whatever the number of runs, while each seed it
     carries saves about 2 + n/2 us of run()'s slot loop at n loops for
-    UA and FA, 3 + n/2 us for FC and 2.9 + n/4 us for UC, which run()
+    UA and FA, 3 + n/2 us for FC and 3 + 0.23 n us for UC, which run()
     steps a block at a time from its schedule; the pass is taken once
-    the savings exceed the fixed cost. Every timed cell that the rule
-    sends to the pass runs faster there than in run(), at 1-40 loops and
-    1-20 seeds. Re-timed against the one-pass run(), UA and FA cells
-    first ran faster in the pass at 6-8 seeds of 5 loops and 3-4 of 20,
-    and the rule still takes it from 9 and 4; against the block-stepped
-    UC, FC cells did from 14 seeds of 5 loops and 6 of 20, where the
-    rule takes the pass too. Against UC's scheduled run(), UC cells did
-    from 19 seeds of 5 loops, 14 of 10, 12 of 15 and 10 of 20, where the
-    rule takes it, and 7 of 40, one above the rule's 6.
+    the savings exceed the fixed cost. Timed against run() (2,000 slots,
+    in-process), the pass first ran faster for UA and FA at 6-8 seeds of
+    5 loops and 3-4 of 20, where the rule takes it from 9 and 4; for FC
+    at 14 seeds of 5 loops and 6 of 20, as the rule does; and for UC at
+    19-21 seeds of 5 loops, 14-15 of 10, 12-13 of 15, 10 of 20, 7-8 of
+    30 and 6-7 of 40, where the rule takes it from 19, 15, 12, 10, 8 and
+    7. Within a seed or two of a crossover the two engines read within
+    about 5% of each other.
     """
     first = configs[0]
     if len(configs) < 2 or first.policy != Policy.AOI_COST.name:
@@ -1023,7 +1013,7 @@ def _takes_lockstep(configs):
     strat = first.resolved_strategy()
     if not strat.compound:
         return len(configs) * (2 + n / 2) > LOCKSTEP_ATOMIC_US
-    saved = 3 + n / 2 if strat.filtered else 2.9 + n / 4
+    saved = 3 + n / 2 if strat.filtered else 3 + 0.23 * n
     return len(configs) * saved > LOCKSTEP_COMPOUND_US
 
 

@@ -31,6 +31,7 @@ def test_bench_measures_each_cell_and_pairs_two_trees(tmp_path):
     assert len(report["trees"]) == 2
     for tree in report["trees"]:
         assert tree["src_lines"] == bench.src_lines(ROOT)
+        assert 0 < tree["src_code_lines"] == bench.src_code_lines(ROOT) < tree["src_lines"]
         assert list(tree["cells"]) == grid + policies
         for name, cell in tree["cells"].items():
             # FIFO and ROUND_ROBIN cells time run() alone
@@ -66,3 +67,33 @@ def test_bench_stages_split_each_lockstep_cell_and_unwrap_after(tmp_path):
     assert "2/UA" in cells and "stages_us_per_slot" in cells["2/UA"]
     for (owner, name), method in methods.items():
         assert vars(getattr(lockstep, owner))[name] is method
+
+
+CODE_SAMPLE = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os  # code with a comment
+
+
+class Thing:
+    """One line."""
+
+    def method(self, value):
+        """Lines
+        and lines.
+        """
+        text = """a string that is
+        not a docstring"""
+        return (value,
+                text)
+
+
+def bare():
+    return os.sep
+'''
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings():
+    # code: import, class, def, text (2 lines), return (2), def, return
+    assert load_bench().code_lines(CODE_SAMPLE) == 9

@@ -191,34 +191,89 @@ def test_fixed_schedule_follows_a_full_drive_of_the_layer():
     # run() drives the layer only through its start-up, until what it
     # hands out repeats, and extends that by the period: over the whole
     # horizon, on both sides of the start-up's length, the schedule must
-    # give every slot's entries, their generations and the discards, as
-    # the layer driven in every slot does
+    # give every transmission's entries, their generations and the
+    # discards before every slot, as the layer driven in every slot does,
+    # and the wire must never idle: only slots j * wire hand out entries
     extended = 0
     uc_shapes = set()  # (a queue of one, one fragment) among the UC configs
     for config in fixed_link_configs(22, 160):
-        startup = fixed_schedule(dataclasses.replace(config, horizon=10_000)).last + 1
+        startup = len(fixed_schedule(dataclasses.replace(config, horizon=10_000)).tallies) - 1
         fragments = fragment_layout(1 + 28 * config.n_loops, config.tb_capacity)[0]
         for horizon in sorted({max(startup - 1, 1), startup, startup + 1, 3 * startup + fragments + 5}):
             c = dataclasses.replace(config, horizon=horizon, warmup=horizon // 3)
             sent, discards = drive_layer(c)
             schedule = fixed_schedule(c)
-            events = dict(schedule.between(0, horizon))
-            assert set(events) == {t for t, out in enumerate(sent) if out is not None}, c
-            for t, entries in events.items():
-                assert {(i, t - lag) for i, lag in entries} == sent[t], (c, t)
+            wire = schedule.wire
+            assert wire == (fragments if config.strategy == "UC" else 1), c
+            for t, out in enumerate(sent):
+                if t % wire:
+                    assert out is None, (c, t)
+                else:
+                    assert {(i, t - lag) for i, lag in schedule.entries(t // wire)} == out, (c, t)
             assert [schedule.count(t)[2] for t in range(horizon + 1)] == discards, c
             counted = map(operator.sub, schedule.count(horizon), schedule.count(c.warmup))
             assert list(counted)[2] == discards[horizon] - discards[c.warmup]
-            extended += schedule.last + 1 < horizon
+            extended += len(schedule.tallies) - 1 < horizon
         if config.strategy == "UC":
             # past start-up a packet arrives M + F - 2 slots after its
             # generation, but a one-fragment packet leaves no backlog
             maxlen = config.compound_maxlen
-            lags = {lag + fragments - 1 for _i, lag in schedule.events[-1][1]}
+            lags = {lag + fragments - 1 for _i, lag in schedule.sent[-1]}
             assert lags == {maxlen + fragments - 2 if fragments > 1 else 0}
             uc_shapes.add((maxlen == 1, fragments == 1))
     assert extended >= 150
     assert uc_shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+class CyclingLink:
+    """A synthetic link for _Schedule: transmission j holds the wire for
+    `wire` slots from slot j * wire, and hands out the j-th of a start-up
+    of `lead` distinct entry tuples followed by a cycle of `period` more.
+    Its tally counts each slot as a block, a transmission's entries as
+    padding when it starts and as discards in each slot it holds the
+    wire after that, so the counts depend on the state as UC's do."""
+
+    def __init__(self, wire, lead, period):
+        self.wire = wire
+        self.shapes = [((j % 3, j), (j % 5 + 3, 2 * j + 1))[: 1 + j % 2] for j in range(lead + period)]
+        self.lead, self.period = lead, period
+        self.blocks = self.padding = self.discards = 0
+        self.current = ()
+
+    def step(self, t):
+        self.blocks += 1
+        if t % self.wire:
+            self.discards += len(self.current)
+            return None
+        j = t // self.wire
+        if j >= self.lead:
+            j = self.lead + (j - self.lead) % self.period
+        self.current = self.shapes[j]
+        self.padding += len(self.current)
+        return self.current
+
+    def tally(self):
+        return self.blocks, self.padding, self.discards
+
+
+@pytest.mark.parametrize("wire, lead, period", [(2, 0, 2), (3, 2, 3), (5, 1, 4), (4, 3, 7)])
+def test_schedule_extends_a_multi_slot_wire_with_a_multi_transmission_period(wire, lead, period):
+    # no real link has both: UC's steady period is one packet, and UA's
+    # wire is one slot. Far past the drive, entries(j) and count(t) must
+    # equal a full drive of the same step
+    horizon = 2_000
+    drive = CyclingLink(wire, lead, period)
+    schedule = engine._Schedule(drive.step, drive.tally, horizon, wire)
+    assert schedule.period == period
+    assert len(schedule.sent) == lead + period + 1
+    full = CyclingLink(wire, lead, period)
+    counts = [full.tally()]
+    for t in range(horizon):
+        out = full.step(t)
+        counts.append(full.tally())
+        if out is not None:
+            assert schedule.entries(t // wire) == out, t
+    assert [schedule.count(t) for t in range(horizon + 1)] == counts
 
 
 @pytest.mark.parametrize("tok", ["UA", "FA+TIS", "UA/FIFO", "UA/ROUND_ROBIN", "UC"])

@@ -231,6 +231,8 @@ ROUTES = [
     (5, "UC", 16, "AOI_COST", False),
     (20, "UC", 10, "AOI_COST", True),
     (20, "UC", 9, "AOI_COST", False),
+    (40, "UC", 7, "AOI_COST", True),
+    (40, "UC", 6, "AOI_COST", False),
     (5, "FA", 9, "AOI_COST", True),
     (5, "FA", 8, "AOI_COST", False),
     (5, "FC", 14, "AOI_COST", True),

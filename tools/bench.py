@@ -10,13 +10,12 @@ after `python -m compileall -q src` in it, and the trees take turns
 - for each (N, strategy) cell of the default grid (UC, FC, UA, FA and
   FA+TIS; the default config otherwise, with `--slots` slots and no
   warmup): microseconds per slot of run_cell over the default 20 seeds,
-  which takes the lockstep pass, the median of CELL_CALLS calls, and of
-  run() on the first seed alone, as one call of either is too short to
-  resolve;
+  which takes the lockstep pass, and of run() on the first seed alone;
 - for UA and FA under each of POLICIES at each N (cells "N/UA/FIFO"
   and so on), the microseconds per slot of run() alone: these cells
-  never take the lockstep pass. Every cell's run() time is the median
-  of RUN_CALLS rounds, each of which calls every cell's run() once;
+  never take the lockstep pass. Every time is the median of ROUNDS
+  rounds, each of which calls every cell's run_cell and run() once, as
+  one call is too short to resolve;
 - the fixed cost of one run: microseconds per run() call of the 8-slot
   single-loop instance that the benchmark's tiny_runs workload uses,
   the median of TINY_BLOCKS blocks of TINY_CALLS calls;
@@ -25,7 +24,8 @@ after `python -m compileall -q src` in it, and the trees take turns
   stage of the pass (STAGES: the wrapped lockstep methods), the rest as
   "control, plant and slot loop", and that call's wrapped total, which
   exceeds the plain one by what the wrappers cost;
-- the `src/` line count.
+- the `src/` line count, and its code lines: those that are not blank
+  and hold more than a comment or a docstring.
 
 Every time is scaled by benchmarks/hostspeed.py's reference loop, as the
 benchmark scales its own, so runs on a busy host stay comparable. OUT
@@ -35,14 +35,17 @@ median paired ratio of the summed cell times.
 """
 
 import argparse
+import ast
 import dataclasses
 import functools
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy
@@ -56,10 +59,10 @@ STRATEGIES = ("UC", "FC", "UA", "FA", "FA+TIS")
 TINY = dict(n_loops=1, horizon=8, warmup=0, strategy="UA", loss_prob=0.3, repetitions=1)
 TINY_CALLS = 200
 TINY_BLOCKS = 5
-# rounds of run() calls: fifteen kept two measurements of one tree
-# within 5% per cell, where five calls of a cell in a row spread 10%
-RUN_CALLS = 15
-CELL_CALLS = 3
+# rounds of calls: fifteen kept a tree measured against a copy of itself
+# within 4% per lockstep cell and 6% per run() cell over three pairs,
+# where calls of one cell in a row spread 10-12%
+ROUNDS = 15
 POLICIES = ("FIFO", "ROUND_ROBIN")
 POLICY_STRATEGIES = ("UA", "FA")
 # lockstep stages timed by --stages: salsim.lockstep (class, method) pairs
@@ -73,6 +76,8 @@ STAGES = {
     "fold": [("PairwiseFold", "extend")],
 }
 REST = "control, plant and slot loop"
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def staged(speed, cell, slots):
@@ -129,32 +134,34 @@ def measure(n_values, slots, stages=False):
 
     run(SimConfig(**TINY))  # untimed: the first call pays for lazy set-up
     speed = hostspeed.HostSpeed()
-    cells = {}
     runs = {}  # cell -> the config whose run() is timed
+    grid = {}  # cell -> the seeds whose run_cell is timed
+    for n in n_values:
+        for token in STRATEGIES:
+            name = f"{n}/{token}"
+            base = runs[name] = SimConfig(n_loops=n, strategy=token, horizon=slots, warmup=0)
+            seeds = range(base.seed, base.seed + base.repetitions)
+            grid[name] = [dataclasses.replace(base, seed=seed) for seed in seeds]
+        for policy in POLICIES:
+            for token in POLICY_STRATEGIES:
+                name = f"{n}/{token}/{policy}"
+                runs[name] = SimConfig(n_loops=n, strategy=token, policy=policy, horizon=slots, warmup=0)
+    cells = {name: {} for name in runs}
+    timed = [(name, "cell_us_per_slot", run_cell, cell) for name, cell in grid.items()]
+    timed += [(name, "run_us_per_slot", run, config) for name, config in runs.items()]
+    times = {(name, key): [] for name, key, _, _ in timed}
     with speed:
-        for n in n_values:
-            for token in STRATEGIES:
-                name = f"{n}/{token}"
-                base = runs[name] = SimConfig(n_loops=n, strategy=token, horizon=slots, warmup=0)
-                seeds = range(base.seed, base.seed + base.repetitions)
-                cell = [dataclasses.replace(base, seed=seed) for seed in seeds]
-                cell_s = statistics.median(speed.timed(run_cell, cell)[2] for _ in range(CELL_CALLS))
-                cells[name] = {"cell_us_per_slot": cell_s / slots * 1e6}
-                if stages and _takes_lockstep(cell):
-                    cells[name].update(staged(speed, cell, slots))
-            for policy in POLICIES:
-                for token in POLICY_STRATEGIES:
-                    name = f"{n}/{token}/{policy}"
-                    runs[name] = SimConfig(n_loops=n, strategy=token, policy=policy, horizon=slots, warmup=0)
-                    cells[name] = {}
         # one call of each cell per round, so that a slow spell of the
         # host falls on many cells once rather than on one cell throughout
-        times = {name: [] for name in runs}
-        for _ in range(RUN_CALLS):
-            for name, config in runs.items():
-                times[name].append(speed.timed(run, config)[2])
-    for name, samples in times.items():
-        cells[name]["run_us_per_slot"] = statistics.median(samples) / slots * 1e6
+        for _ in range(ROUNDS):
+            for name, key, call, arg in timed:
+                times[name, key].append(speed.timed(call, arg)[2])
+        for (name, key), samples in times.items():
+            cells[name][key] = statistics.median(samples) / slots * 1e6
+        if stages:
+            for name, cell in grid.items():
+                if _takes_lockstep(cell):
+                    cells[name].update(staged(speed, cell, slots))
     tiny = [dataclasses.replace(SimConfig(**TINY), seed=seed) for seed in range(TINY_CALLS)]
     per_call = []
     for _ in range(TINY_BLOCKS):
@@ -171,6 +178,24 @@ def measure(n_values, slots, stages=False):
 
 def src_lines(tree):
     return sum(len(path.read_bytes().splitlines()) for path in (tree / "src").rglob("*.py"))
+
+
+def src_code_lines(tree):
+    return sum(code_lines(path.read_text()) for path in (tree / "src").rglob("*.py"))
+
+
+def code_lines(source):
+    """The lines of Python source that hold code: not blank, and more than
+    a comment or the docstring of a module, class or function."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in NOT_CODE:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docs)
 
 
 def commit(tree):
@@ -274,7 +299,12 @@ def main(argv=None):
         "pairs": args.pairs,
         "time_unit": "microseconds at hostspeed's reference speed",
         "trees": [
-            {"commit": commit(tree), "src_lines": src_lines(tree), **summary(tree_runs)}
+            {
+                "commit": commit(tree),
+                "src_lines": src_lines(tree),
+                "src_code_lines": src_code_lines(tree),
+                **summary(tree_runs),
+            }
             for tree, tree_runs in zip(trees, runs)
         ],
     }
