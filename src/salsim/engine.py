@@ -21,15 +21,17 @@ alone, to draw x_0 and rank slot 0). Every link hands the controllers
 (loop, generation) pairs, as the layer's units carry their generation
 time: the sample x_gen is read from the rows of states that replay
 keeps (x_t itself when gen == t), so no value travels with a buffer
-entry or a queued packet. The object path, which FA and FA+TIS take
-under FIFO and ROUND_ROBIN, encodes values into its PDUs for their byte
-accounting and never decodes them. A delivery replaces its loop's
-estimate and adds to the loop's age total the move of its newest
-generation times the measured slots left. Deadband semantics follow
-DeadbandFilter (first sample always admits, strict threshold, reference
-moves only on admission); the filter is inlined here and pinned to the
-reference implementation by the filtered-vs-unfiltered equivalence
-tests.
+entry or a queued packet. FA+TIS under FIFO and ROUND_ROBIN, and FA
+under ROUND_ROBIN, pick by the layer's cyclic walk from a cursor
+(_walk). Only FA under FIFO, whose layer calls benchmarks/run.py
+--self-check counts, goes through the layer's objects: it encodes
+values into its PDUs for their byte accounting and never decodes them.
+A delivery replaces its loop's estimate and adds to the loop's age
+total the move of its newest generation times the measured slots left.
+Deadband semantics follow DeadbandFilter (first sample always admits,
+strict threshold, reference moves only on admission); the filter is
+inlined here and pinned to the reference implementation by the
+filtered-vs-unfiltered equivalence tests.
 
 Links that read no plant state are a fixed schedule: UC under any
 policy, and UA under FIFO and ROUND_ROBIN. Every loop admits in every
@@ -76,6 +78,7 @@ import math
 import operator
 from struct import pack
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -338,16 +341,19 @@ def run(config, erasure_pattern=None, record_traces=False):
     # selection and PDU byte accounting (see the pinned run regressions).
     # Links that read no plant state (fixed: UC under any policy, UA
     # under FIFO and ROUND_ROBIN) take what they send from a schedule that
-    # the layer hands out once per run; FA and FA+TIS under FIFO and
-    # ROUND_ROBIN take the object path below, and FC's packets queue in
-    # the layer as (generation, loop ids), whatever the policy.
+    # the layer hands out once per run. FA under ROUND_ROBIN and FA+TIS
+    # under both walk from a cursor (_walk); FA under FIFO (the self-check
+    # counts its layer calls) and FC's queued packets use the layer.
     policy = Policy[config.policy]
     rank = policy is Policy.AOI_COST and not compound_mode
     fixed = not (filtering or rank)
-    buffered = rank and filtering and not tis_on  # FA
+    cycle = policy is Policy.ROUND_ROBIN
+    walk = not (rank or fixed or compound_mode) and (tis_on or cycle)
+    cursor = 0
+    buffered = (rank or walk) and filtering and not tis_on  # FA
     handler = reader = None
-    if not (rank or fixed):
-        handler, reader = _layer(config, plants, policy, tis_on)
+    if not (rank or fixed or walk):
+        handler, reader = _layer(config, plants, policy)
         ingest_flagged = handler.ingest_flagged
         select_uniform = handler.select_uniform
         process = reader.process
@@ -543,12 +549,16 @@ def run(config, erasure_pattern=None, record_traces=False):
                                 got = cur_ids
                                 for i in got:
                                     got_gen[i] = cur_gen
-                elif rank:
-                    # send what the last pass ranked (FA+TIS: the admitted
-                    # tier first), less the padding of a short tier
-                    sent = top_id
-                    if sent[-1] < 0:
-                        sent = [i for i in top_id + low_id if i >= 0][:k]
+                elif rank or walk:
+                    if walk:
+                        sent, moved, overwrites = _walk(fresh, buf_gen, t, cursor, k, tis_on)
+                        cursor = moved if cycle else 0
+                    else:
+                        # send what the last pass ranked (FA+TIS: the admitted
+                        # tier first), less the padding of a short tier
+                        sent = top_id
+                        if sent[-1] < 0:
+                            sent = [i for i in top_id + low_id if i >= 0][:k]
                     if buffered:  # UA and FA+TIS keep no per-slot tally
                         replaced_local += overwrites
                         overwrites = 0
@@ -565,7 +575,7 @@ def run(config, erasure_pattern=None, record_traces=False):
                         for i in got:
                             got_gen[i] = t
                 else:
-                    ingest_flagged(t, x, VALUE_PAYLOAD_SIZE, fresh, tis_on)
+                    ingest_flagged(t, x, VALUE_PAYLOAD_SIZE, fresh, False)
                     picked = select_uniform(capacity, t, VALUE_PAYLOAD_SIZE)
                     if picked:
                         blocks += 1
@@ -575,7 +585,7 @@ def run(config, erasure_pattern=None, record_traces=False):
                         )
                         pad_total += pdu.padding_bytes
                         if arrives[j]:
-                            # FIFO and ROUND_ROBIN read no acknowledgement
+                            # FIFO reads no acknowledgement
                             got = []
                             for mdu, _subs in process(pdu, t)[0]:
                                 got.append(mdu.id)
@@ -698,7 +708,7 @@ def run(config, erasure_pattern=None, record_traces=False):
                 else:
                     queued = handler.peek_compound()
                     keep = end if queued is None else queued[0]
-            elif rank:
+            elif rank or walk:
                 keep = min([gen for gen in buf_gen if gen >= 0], default=end)
             else:
                 held = [o.gen_time for o in map(handler.occupant, range(n)) if o is not None]
@@ -714,7 +724,7 @@ def run(config, erasure_pattern=None, record_traces=False):
         blocks, pad_total, replaced_local = map(
             operator.sub, schedule.count(horizon), schedule.count(warmup)
         )
-    elif rank and not buffered:
+    elif (rank or walk) and not buffered:
         blocks, pad_total, replaced_local = atomic_counts(config, k)
     squared = fold.total().tolist()
     totals = RunTotals(
@@ -774,7 +784,7 @@ def _prepare(config):
     return strat, plants, neg_gain
 
 
-def _layer(config, plants, policy, tis):
+def _layer(config, plants, policy):
     """A run's aggregation layer: its DataHandler and DataReader, one id per loop."""
     session = SessionHandler()
     for i in range(config.n_loops):
@@ -783,7 +793,6 @@ def _layer(config, plants, policy, tis):
         session,
         policy=policy,
         gains=[(pl.a, pl.sigma_w2) for pl in plants],
-        tis_enabled=tis,
         compound_maxlen=config.compound_maxlen,
     )
     return handler, DataReader(session)
@@ -858,7 +867,7 @@ def _fixed_schedule(config, plants, frag_table=None):
     """
     n = config.n_loops
     capacity = config.tb_capacity
-    handler, reader = _layer(config, plants, Policy[config.policy], False)
+    handler, reader = _layer(config, plants, Policy[config.policy])
     every = range(n)
     busy = pad = blocks = padding = 0  # busy: the slots the wire is still held
 
@@ -893,6 +902,36 @@ def _fixed_schedule(config, plants, frag_table=None):
         config.horizon,
         1 if frag_table is None else frag_table[n][0],
     )
+
+
+def _walk(fresh, buf_gen, t, start, k, tis):
+    """Slot t's picks of FA or FA+TIS under ROUND_ROBIN from cursor start,
+    the cursor after them and FA's discards, as the layer's ingest_flagged
+    and _round_robin_order make them: the first k admitted ids from the
+    cursor on, cyclically, then (TIS) the first suppressed ones met. FA
+    buffers fresh, the ascending ids handed down at t, in buf_gen; TIS
+    re-ingests every loop in id order, so FIFO picks as from cursor 0."""
+    n = len(buf_gen)
+    overwrites = 0
+    if tis:
+        cut = bisect_left(fresh, start)
+        picks = fresh[cut:] + fresh[:cut]
+        if len(picks) < k:
+            picks += [i for i in [*range(start, n), *range(start)] if i not in fresh]
+        del picks[k:]
+    else:
+        for i in fresh:
+            if buf_gen[i] >= 0:
+                overwrites += 1
+            buf_gen[i] = t
+        picks = []
+        for j in range(start, start + n):
+            i = j - n if j >= n else j
+            if buf_gen[i] >= 0:
+                picks.append(i)
+                if len(picks) == k:
+                    break
+    return picks, (picks[-1] + 1) % n if picks else start, overwrites
 
 
 def _sal_discards(handler, reader):

@@ -225,6 +225,66 @@ def test_fixed_schedule_follows_a_full_drive_of_the_layer():
     assert uc_shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
+@pytest.mark.parametrize("policy, tis", [("ROUND_ROBIN", False), ("ROUND_ROBIN", True), ("FIFO", True)])
+def test_walk_follows_the_layer_slot_by_slot(policy, tis):
+    # run() picks FA's and FA+TIS's entries under these policies with
+    # _walk, off the layer's objects: fed the same admissions, it must
+    # hand out the layer's picks, in its order, and keep its cursor and
+    # discards, FA's from its buffer and FA+TIS's by atomic_counts
+    rng = random.Random(24)
+    for _ in range(200):
+        n = rng.randint(1, 24)
+        capacity = 2 + 28 * rng.randint(1, n + 2) + rng.randint(0, 27)
+        k = min((capacity - 2) // 28, n)
+        session = SessionHandler()
+        for i in range(n):
+            session.subscribe(session.register(f"loop/{i}"), i)
+        handler = DataHandler(session, policy=Policy[policy], tis_enabled=tis)
+        rate = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0, rng.random()])
+        buf_gen, cursor, discards = [-1] * n, 0, 0
+        for t in range(rng.randint(1, 120)):
+            fresh = [i for i in range(n) if rng.random() < rate]
+            handler.ingest_flagged(t, [t / 7.0] * n, 20, fresh, tis)
+            picked = handler.select_uniform(capacity, t, 20)
+            picks, moved, overwrites = engine._walk(fresh, buf_gen, t, cursor, k, tis)
+            if policy == "ROUND_ROBIN":
+                cursor = moved
+            discards += overwrites
+            case = (n, k, rate, t)
+            assert picks == [e.mdu_id for e in picked], case
+            assert cursor == handler._rr_next, case
+            if tis:
+                assert [e.gen_time for e in picked] == [t] * len(picks), case
+                held = cfg(n_loops=n, horizon=t + 1, tb_capacity=capacity)
+                assert handler.replaced_discards == atomic_counts(held, k)[2], case
+            else:  # run() sends buf_gen's generations and clears them
+                assert [buf_gen[i] for i in picks] == [e.gen_time for e in picked], case
+                assert discards == handler.replaced_discards, case
+                for i in picks:
+                    buf_gen[i] = -1
+
+
+def test_one_pdu_of_every_loop_makes_the_policy_blind():
+    # when one PDU carries every loop (tb_capacity >= 2 + 28n), no policy
+    # can change what is sent: each strategy's runs must be equal under
+    # all three, field for field, with their traces
+    rng = random.Random(7)
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        horizon = rng.randint(1, 600)
+        base = cfg(
+            n_loops=n, horizon=horizon, warmup=rng.randrange(horizon),
+            tb_capacity=2 + 28 * n + rng.randint(0, 60), deadband=rng.choice([0.0, 0.5, 2.0]),
+            loss_prob=rng.choice([0.0, 0.1, 0.4]), seed=rng.randint(0, 10_000),
+        )
+        for strategy, tis in (("UA", False), ("FA", False), ("FA", True)):
+            results = [
+                run(dataclasses.replace(base, strategy=strategy, tis=tis, policy=policy), record_traces=True)
+                for policy in Policy.__members__
+            ]
+            assert results[1:] == results[:1] * 2, (base, strategy, tis)
+
+
 class CyclingLink:
     """A synthetic link for _Schedule: transmission j holds the wire for
     `wire` slots from slot j * wire, and hands out the j-th of a start-up
@@ -276,7 +336,9 @@ def test_schedule_extends_a_multi_slot_wire_with_a_multi_transmission_period(wir
     assert [schedule.count(t) for t in range(horizon + 1)] == counts
 
 
-@pytest.mark.parametrize("tok", ["UA", "FA+TIS", "UA/FIFO", "UA/ROUND_ROBIN", "UC"])
+@pytest.mark.parametrize(
+    "tok", ["UA", "FA+TIS", "UA/FIFO", "UA/ROUND_ROBIN", "FA+TIS/FIFO", "FA+TIS/ROUND_ROBIN", "UC"]
+)
 @pytest.mark.parametrize("n, capacity", [(6, 64), (2, 200)])  # k = 2 < n, and k = n
 def test_full_block_link_counts_follow_from_the_config(monkeypatch, tok, n, capacity):
     # UA and FA+TIS send k = min(room // entry, n) entries in every slot,
@@ -1180,6 +1242,8 @@ PINNED_RUNS = [
      (6.106349206349206, 6834720433347.433, 0.06521739130434782, 0.7390476190476191, 1800, 3150, 984)),
     ("k3 FA round robin", dict(n_loops=7, horizon=500, warmup=50, strategy="FA", policy="ROUND_ROBIN", tb_capacity=92, loss_prob=0.25, seed=9),
      (1.951111111111111, 5.669272076351616, 0.06589371980676328, 0.6917460317460318, 831, 2179, 983)),
+    ("k3 FA tis round robin", dict(n_loops=7, horizon=500, warmup=50, strategy="FA", tis=True, policy="ROUND_ROBIN", tb_capacity=92, loss_prob=0.25, seed=9),
+     (1.8561904761904762, 5.031047220072752, 0.06521739130434782, 0.6806349206349206, 1800, 3150, 984)),
     # the benchmarked regime: 20 loops, two entries per 64-byte block, over
     # three blocks of slots; recorded before ranking moved into the plant pass
     ("UA n20", dict(n_loops=20, horizon=1100, warmup=100, strategy="UA", tb_capacity=64, loss_prob=0.25, seed=9),

@@ -11,11 +11,11 @@ after `python -m compileall -q src` in it, and the trees take turns
   FA+TIS; the default config otherwise, with `--slots` slots and no
   warmup): microseconds per slot of run_cell over the default 20 seeds,
   which takes the lockstep pass, and of run() on the first seed alone;
-- for UA and FA under each of POLICIES at each N (cells "N/UA/FIFO"
-  and so on), the microseconds per slot of run() alone: these cells
-  never take the lockstep pass. Every time is the median of ROUNDS
-  rounds, each of which calls every cell's run_cell and run() once, as
-  one call is too short to resolve;
+- for UA, FA and FA+TIS under each of POLICIES at each N (cells
+  "N/UA/FIFO" and so on), the microseconds per slot of run() alone:
+  these cells never take the lockstep pass. Every time is the median of
+  ROUNDS rounds, each of which calls every cell's run_cell and run()
+  once, as one call is too short to resolve;
 - the fixed cost of one run: microseconds per run() call of the 8-slot
   single-loop instance that the benchmark's tiny_runs workload uses,
   the median of TINY_BLOCKS blocks of TINY_CALLS calls;
@@ -64,7 +64,7 @@ TINY_BLOCKS = 5
 # where calls of one cell in a row spread 10-12%
 ROUNDS = 15
 POLICIES = ("FIFO", "ROUND_ROBIN")
-POLICY_STRATEGIES = ("UA", "FA")
+POLICY_STRATEGIES = ("UA", "FA", "FA+TIS")
 # lockstep stages timed by --stages: salsim.lockstep (class, method) pairs
 STAGES = {
     "noise": [("_Streams", "noise")],
